@@ -7,8 +7,11 @@ GO ?= go
 	compare-golden compare-check metrics-golden metrics-check \
 	sweep-check bench bench-check bench-baseline
 
-# The tier-1 gate: everything below must pass before merging.
-check: vet lint build test race
+# The tier-1 gate: everything below must pass before merging. The two
+# golden diffs pin the byte-identity contract locally, not only in CI:
+# `mnoc bench` reproduces the committed tables and `mnoc sweep` (the
+# bench path on the worker pool) reproduces them too.
+check: vet lint build test race golden-check sweep-check
 
 vet:
 	$(GO) vet ./...
@@ -50,11 +53,12 @@ golden-check:
 	$(GO) run ./cmd/mnoc bench -scale quick > /tmp/bench_quick.txt
 	diff -u testdata/golden/bench_quick.txt /tmp/bench_quick.txt
 
-# Diff the sharded sweep coordinator's merged stdout against the bench
-# golden (minus its two header lines): pins the byte-identity contract
-# — `mnoc sweep -workers 4` over the work-stealing pool must reproduce
-# the single-process `mnoc bench` tables exactly — without booting a
-# fleet. The CI fleet-smoke job re-checks this against live backends.
+# Diff the sweep coordinator's local stdout against the bench golden
+# (minus its two header lines): pins the byte-identity contract —
+# `mnoc sweep -workers 4`, the bench path on a 4-worker pool, must
+# reproduce the single-process `mnoc bench` tables exactly — without
+# booting a fleet. TestSweepMatchesSingleProcess and the CI fleet-smoke
+# job check the remote (sharded) path against live backends.
 sweep-check:
 	$(GO) run ./cmd/mnoc sweep -scale quick -workers 4 > /tmp/sweep_quick.txt
 	tail -n +3 testdata/golden/bench_quick.txt | diff -u - /tmp/sweep_quick.txt

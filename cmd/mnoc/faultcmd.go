@@ -1,9 +1,11 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
+	"os/signal"
 	"strconv"
 	"strings"
 	"time"
@@ -110,11 +112,13 @@ func faultCmd(args []string) {
 	if err != nil {
 		fail("fault", err)
 	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
 	startPprof("fault", pprofAddr)
 	reg := telemetry.NewRegistry()
 	tracer := telemetry.NewTracer(telemetry.DefaultTraceCapacity)
 	begin := time.Now()
-	res, err := runner.FaultSweep(store, cfgWorkers, fc, reg, tracer)
+	res, err := runner.FaultSweep(ctx, store, cfgWorkers, fc, reg, tracer)
 	if err != nil {
 		fail("fault", err)
 	}

@@ -46,9 +46,9 @@
 // The fleet trio (docs/FLEET.md): proxy consistent-hashes flight keys
 // across replicas so identical requests coalesce at one backend;
 // serve -artifact-serve exposes the artifact store over HTTP so
-// replicas (-artifact-store) share one warm cache; sweep shards a
-// design-space sweep over a work-stealing pool — locally or against
-// live backends — and merges byte-identically to a single-process run.
+// replicas (-artifact-store) share one warm cache; sweep runs the bench
+// path locally, or shards it across live backends, and its tables are
+// byte-identical to a single-process run either way.
 //
 // The observability trio (docs/TELEMETRY.md): -metrics-out writes the
 // end-of-run counters/gauges/histograms as JSON, -trace-out writes the

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -13,17 +14,18 @@ import (
 	"mnoc/internal/fleet"
 	"mnoc/internal/runner"
 	"mnoc/internal/runner/artifact"
+	"mnoc/internal/runner/pool"
 	"mnoc/internal/telemetry"
 )
 
-// sweepCmd is the sharded sweep coordinator (docs/FLEET.md): it splits
-// a design-space sweep — experiment entries and, optionally, fault
-// points — into units, runs them on a work-stealing pool (locally, or
-// against live backends with -addr), and merges the partial tables
-// deterministically. The merged stdout is byte-identical to a
-// single-process `mnoc bench` run of the same entries: tables go to
-// stdout, everything else to stderr, so `mnoc sweep | diff - golden`
-// is the acceptance check.
+// sweepCmd is the sweep coordinator (docs/FLEET.md). Locally it runs
+// the bench path — the experiment entries on the runner's worker pool,
+// then, optionally, one fault sweep over -fault-scales. With -addr it
+// shards the entries one unit each across live backends and merges the
+// partial tables deterministically. Either way the tables on stdout
+// are byte-identical to a single-process `mnoc bench` run of the same
+// entries: tables go to stdout, everything else to stderr, so
+// `mnoc sweep | diff - golden` is the acceptance check.
 func sweepCmd(args []string) {
 	fs := flag.NewFlagSet("mnoc sweep", flag.ExitOnError)
 	var (
@@ -100,45 +102,41 @@ func sweepRunnerConfig(configPath string, fs *flag.FlagSet, scale string, seed i
 	return cfg
 }
 
-// sweepLocal runs every unit in-process over one shared runner, so
-// units share its artifact store and in-process memoisation exactly
-// like a single-process bench run.
+// sweepLocal runs the bench path in-process: one runner, its worker
+// pool sized by -workers, the entries' tables rendered in entry order
+// and, with -fault-scales, one fault sweep over every scale.
 func sweepLocal(ctx context.Context, entries []exp.Entry, faultScales []float64,
 	faultBench string, faultN int, cfg runner.Config, workers int, tf *telemetryFlags, begin time.Time) {
+	cfg.Workers = workers
 	r, err := runner.New(cfg)
 	if err != nil {
 		fail("sweep", err)
 	}
-	fleet.RegisterMetrics(r.Telemetry())
+	fmt.Fprintf(os.Stderr, "mnoc sweep: mode=local radix=%d seed=%d entries=%d fault-scales=%d workers=%d\n",
+		r.Options().N, r.Options().Seed, len(entries), len(faultScales), r.Workers())
 	if err := r.Precompute(ctx); err != nil {
 		fail("sweep", err)
 	}
-
-	units := fleet.EntryUnits(r, entries)
-	var fc runner.FaultConfig
-	var faultShards []*runner.FaultSweepResult
+	tables, err := r.RunEntries(ctx, entries)
+	if err != nil {
+		fail("sweep", err)
+	}
+	var merged bytes.Buffer
+	for _, t := range tables {
+		if err := t.Fprint(&merged); err != nil {
+			fail("sweep", fmt.Errorf("rendering table %s: %w", t.ID, err))
+		}
+	}
+	if _, err := os.Stdout.Write(merged.Bytes()); err != nil {
+		fail("sweep", err)
+	}
 	if len(faultScales) > 0 {
-		fc = runner.DefaultFaultConfig()
+		fc := runner.DefaultFaultConfig()
 		fc.Scales = faultScales
 		fc.Bench = faultBench
 		fc.N = faultN
 		fc.Seed = r.Options().Seed
-		faultShards = make([]*runner.FaultSweepResult, len(fc.Scales))
-		units = append(units, fleet.FaultUnits(r, fc, faultShards)...)
-	}
-	fmt.Fprintf(os.Stderr, "mnoc sweep: mode=local radix=%d seed=%d units=%d workers=%d\n",
-		r.Options().N, r.Options().Seed, len(units), workers)
-
-	outs, err := fleet.RunUnits(ctx, units, workers, r.Telemetry())
-	if err != nil {
-		fail("sweep", err)
-	}
-	merged := fleet.Merge(outs)
-	if _, err := os.Stdout.Write(merged); err != nil {
-		fail("sweep", err)
-	}
-	if len(faultScales) > 0 {
-		res, err := fleet.MergeFaultResults(fc, faultShards)
+		res, err := r.FaultSweep(ctx, fc)
 		if err != nil {
 			fail("sweep", err)
 		}
@@ -146,18 +144,23 @@ func sweepLocal(ctx context.Context, entries []exp.Entry, faultScales []float64,
 			fail("sweep", err)
 		}
 	}
-	storeSweepArtifact(r.Store(), entries, faultScales, r.Options().N, r.Options().Seed, merged)
-	finishSweep(r.Telemetry(), r.Tracer(), tf, map[string]any{
+	storeSweepArtifact(r.Store(), entries, faultScales, r.Options().N, r.Options().Seed, merged.Bytes())
+	meta := map[string]any{
 		"subcommand": "sweep", "mode": "local", "radix": r.Options().N,
-		"seed": r.Options().Seed, "units": len(units), "workers": workers,
-		"wall_ms": time.Since(begin).Milliseconds(),
-	})
+		"seed": r.Options().Seed, "entries": len(entries), "fault_scales": len(faultScales),
+		"workers": r.Workers(), "wall_ms": time.Since(begin).Milliseconds(),
+	}
+	if err := writeTelemetry(r.Telemetry(), r.Tracer(), *tf.metricsOut, *tf.traceOut, meta); err != nil {
+		fail("sweep", err)
+	}
 	fmt.Fprintln(os.Stderr, "mnoc sweep:", r.Summary())
 }
 
-// sweepRemote shards the entries across live backends; each unit POSTs
-// /v1/bench and renders the returned tables locally, so the merged
-// bytes match the local path exactly.
+// sweepRemote shards the entries across live backends, one unit per
+// entry on a fail-fast worker pool; each unit POSTs /v1/bench and
+// renders the returned tables locally, so the merged bytes match the
+// local path exactly. The worker index picks the endpoint, so the pool
+// doubles as the load balancer.
 func sweepRemote(ctx context.Context, entries []exp.Entry, endpoints []string,
 	storeURL string, workers int, timeout time.Duration, tf *telemetryFlags, begin time.Time) {
 	if len(endpoints) == 0 {
@@ -175,7 +178,19 @@ func sweepRemote(ctx context.Context, entries []exp.Entry, endpoints []string,
 		fmt.Fprintf(os.Stderr, "mnoc sweep:   endpoint %s\n", ep)
 	}
 
-	outs, err := fleet.RunUnits(ctx, fleet.RemoteEntryUnits(ids, endpoints, timeout), workers, reg)
+	units := fleet.RemoteEntryUnits(ids, endpoints, timeout)
+	outs := make([][]byte, len(units))
+	unitsC := reg.Counter(fleet.MetricSweepUnits)
+	steals, err := pool.Run(ctx, len(units), workers, true, reg, func(ctx context.Context, worker, i int) error {
+		out, err := units[i].Run(ctx, worker)
+		unitsC.Inc()
+		if err != nil {
+			return fmt.Errorf("sweep unit %s: %w", units[i].ID, err)
+		}
+		outs[i] = out
+		return nil
+	})
+	reg.Counter(fleet.MetricSweepSteals).Add(uint64(steals))
 	if err != nil {
 		fail("sweep", err)
 	}
@@ -189,11 +204,14 @@ func sweepRemote(ctx context.Context, entries []exp.Entry, endpoints []string,
 		remote.Instrument(reg)
 		storeSweepArtifact(remote, entries, nil, 0, 0, merged)
 	}
-	finishSweep(reg, telemetry.NewTracer(1), tf, map[string]any{
+	fmt.Fprintf(os.Stderr, "mnoc sweep: units=%d steals=%d\n", unitsC.Value(), steals)
+	if err := writeTelemetry(reg, telemetry.NewTracer(1), *tf.metricsOut, *tf.traceOut, map[string]any{
 		"subcommand": "sweep", "mode": "remote", "endpoints": len(endpoints),
 		"units": len(ids), "workers": workers,
 		"wall_ms": time.Since(begin).Milliseconds(),
-	})
+	}); err != nil {
+		fail("sweep", err)
+	}
 }
 
 // storeSweepArtifact writes the merged sweep output as one
@@ -219,17 +237,6 @@ func storeSweepArtifact(store artifact.Store, entries []exp.Entry, faultScales [
 		where = loc.Location()
 	}
 	fmt.Fprintf(os.Stderr, "mnoc sweep: merged artifact %s (%s)\n", key, where)
-}
-
-// finishSweep reports the work-stealing counters and writes the
-// optional telemetry outputs.
-func finishSweep(reg *telemetry.Registry, tracer *telemetry.Tracer, tf *telemetryFlags, meta map[string]any) {
-	snap := reg.Snapshot()
-	fmt.Fprintf(os.Stderr, "mnoc sweep: units=%d steals=%d\n",
-		snap.Counters[fleet.MetricSweepUnits], snap.Counters[fleet.MetricSweepSteals])
-	if err := writeTelemetry(reg, tracer, *tf.metricsOut, *tf.traceOut, meta); err != nil {
-		fail("sweep", err)
-	}
 }
 
 // warnIfUnreachable pings the remote artifact store at startup: a

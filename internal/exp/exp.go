@@ -10,7 +10,6 @@ import (
 	"context"
 	"encoding/csv"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -21,6 +20,7 @@ import (
 	"mnoc/internal/mapping"
 	"mnoc/internal/power"
 	"mnoc/internal/runner/artifact"
+	"mnoc/internal/runner/pool"
 	"mnoc/internal/telemetry"
 	"mnoc/internal/trace"
 	"mnoc/internal/workload"
@@ -511,9 +511,10 @@ func (c *Context) network(ctx context.Context, key string, build func() (*power.
 }
 
 // Precompute builds every benchmark's calibrated traffic and QAP
-// mapping with up to `workers` goroutines. The searches are independent
-// and deterministic, so parallelism changes wall-clock time only — a
-// full paper-scale context drops from minutes to tens of seconds on a
+// mapping on the worker pool (internal/runner/pool) with up to
+// `workers` goroutines. The searches are independent and
+// deterministic, so parallelism changes wall-clock time only — a full
+// paper-scale context drops from minutes to tens of seconds on a
 // multicore host.
 func (c *Context) Precompute(ctx context.Context, workers int) error {
 	return c.precomputeNames(ctx, workload.Names(), workers)
@@ -525,33 +526,13 @@ func (c *Context) Precompute(ctx context.Context, workers int) error {
 // stops scheduling further benchmarks; the joined error then includes
 // the ctx error exactly once.
 func (c *Context) precomputeNames(ctx context.Context, names []string, workers int) error {
-	if workers < 1 {
-		workers = 1
-	}
-	sem := make(chan struct{}, workers)
-	errs := make([]error, len(names))
-	var wg sync.WaitGroup
-	for i, name := range names {
-		wg.Add(1)
-		go func(i int, name string) {
-			defer wg.Done()
-			select {
-			case sem <- struct{}{}:
-			case <-ctx.Done():
-				return
-			}
-			defer func() { <-sem }()
-			if _, err := c.Mapped(ctx, name); err != nil &&
-				!errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-				errs[i] = fmt.Errorf("%s: %w", name, err)
-			}
-		}(i, name)
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
-		return err
-	}
-	return ctx.Err()
+	_, err := pool.Run(ctx, len(names), workers, false, c.reg, func(ctx context.Context, _, i int) error {
+		if _, err := c.Mapped(ctx, names[i]); err != nil {
+			return fmt.Errorf("%s: %w", names[i], err)
+		}
+		return nil
+	})
+	return err
 }
 
 // evaluateWatts runs a network on a (core-indexed) matrix.

@@ -16,8 +16,9 @@
 //     counts as a miss, mirroring the local disk store's quarantine
 //     behaviour.
 //
-//   - Sweep (`mnoc sweep`): a coordinator that shards a design-space
-//     sweep over workers via a work-stealing queue and merges the
+//   - Sweep (`mnoc sweep -addr`): remote units that shard a bench run
+//     one experiment each across live backends; the coordinator runs
+//     them on the worker pool (internal/runner/pool) and merges the
 //     partial tables deterministically — byte-identical to a
 //     single-process run.
 package fleet
@@ -50,7 +51,7 @@ const (
 	MetricStorePut     = "fleet.store.put"
 	MetricStoreCorrupt = "fleet.store.corrupt"
 
-	// MetricSweepUnits counts sweep work units completed.
+	// MetricSweepUnits counts remote sweep units completed.
 	MetricSweepUnits = "fleet.sweep.units"
 	// MetricSweepSteals counts units a worker stole from another
 	// worker's queue.

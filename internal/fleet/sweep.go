@@ -4,138 +4,33 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
 	"mnoc/internal/exp"
-	"mnoc/internal/runner"
-	"mnoc/internal/telemetry"
 )
 
-// Unit is one shard of a sweep: an independently runnable piece whose
-// output is a deterministic byte rendering. The coordinator merges
-// unit outputs in unit order, so a sharded sweep is byte-identical to
-// a single-process run no matter which worker ran what, or when.
+// Unit is one shard of a remote sweep: an independently runnable piece
+// whose output is a deterministic byte rendering. The coordinator runs
+// units on the worker pool (internal/runner/pool) and merges their
+// outputs in unit order, so a sharded sweep is byte-identical to a
+// single-process run no matter which worker ran what, or when.
 type Unit struct {
 	// ID names the unit in errors and logs.
 	ID string
 	// Run produces the unit's rendered bytes. worker is the index of
-	// the executing worker (remote units use it to pick an endpoint).
+	// the executing pool worker (it picks the endpoint).
 	Run func(ctx context.Context, worker int) ([]byte, error)
 }
 
-// stealQueue is the coordinator's work-stealing state: one FIFO queue
-// per worker, seeded round-robin (unit i → worker i%workers). An idle
-// worker first drains its own queue from the front, then steals from
-// the back of the longest other queue — the classic owner-front /
-// thief-back split, which keeps stolen work as "cold" as possible.
-// One mutex guards all queues: sweep units run for seconds, so queue
-// contention is noise.
-type stealQueue struct {
-	mu sync.Mutex
-	qs [][]int
-}
-
-func newStealQueue(units, workers int) *stealQueue {
-	q := &stealQueue{qs: make([][]int, workers)}
-	for i := 0; i < units; i++ {
-		w := i % workers
-		q.qs[w] = append(q.qs[w], i)
-	}
-	return q
-}
-
-// next returns the next unit index for worker, stolen=true if it came
-// from another worker's queue, ok=false when no work remains anywhere.
-func (q *stealQueue) next(worker int) (unit int, stolen, ok bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if own := q.qs[worker]; len(own) > 0 {
-		unit = own[0]
-		q.qs[worker] = own[1:]
-		return unit, false, true
-	}
-	victim, best := -1, 0
-	for v, vq := range q.qs {
-		if v != worker && len(vq) > best {
-			victim, best = v, len(vq)
-		}
-	}
-	if victim < 0 {
-		return 0, false, false
-	}
-	vq := q.qs[victim]
-	unit = vq[len(vq)-1]
-	q.qs[victim] = vq[:len(vq)-1]
-	return unit, true, true
-}
-
-// RunUnits executes units on a work-stealing pool of `workers` and
-// returns their outputs in unit order. The first unit error cancels
-// the run (remaining units never start); all recorded errors are
-// joined. reg may be nil; with a registry, completed units count into
-// fleet.sweep.units and cross-queue steals into fleet.sweep.steals.
-func RunUnits(ctx context.Context, units []Unit, workers int, reg *telemetry.Registry) ([][]byte, error) {
-	if len(units) == 0 {
-		return nil, nil
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(units) {
-		workers = len(units)
-	}
-	unitsC := reg.Counter(MetricSweepUnits)
-	stealsC := reg.Counter(MetricSweepSteals)
-	queue := newStealQueue(len(units), workers)
-	results := make([][]byte, len(units))
-	errs := make([]error, len(units))
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			for runCtx.Err() == nil {
-				idx, stolen, ok := queue.next(worker)
-				if !ok {
-					return
-				}
-				if stolen {
-					stealsC.Inc()
-				}
-				out, err := units[idx].Run(runCtx, worker)
-				unitsC.Inc()
-				if err != nil {
-					errs[idx] = fmt.Errorf("fleet: sweep unit %s: %w", units[idx].ID, err)
-					cancel()
-					return
-				}
-				results[idx] = out
-			}
-		}(w)
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("fleet: sweep interrupted: %w", err)
-	}
-	return results, nil
-}
-
 // Merge concatenates unit outputs in unit order. With units built by
-// EntryUnits (or RemoteEntryUnits) over the same entry list a
-// single-process `mnoc bench` would run, the merged bytes equal that
-// run's table output exactly — pinned by TestSweepMatchesSingleProcess
-// and the CI fleet-smoke diff.
+// RemoteEntryUnits over the same entry list a single-process
+// `mnoc bench` would run, the merged bytes equal that run's table
+// output exactly — pinned by TestSweepMatchesSingleProcess and the CI
+// fleet-smoke diff.
 func Merge(outputs [][]byte) []byte {
 	var buf bytes.Buffer
 	for _, out := range outputs {
@@ -144,40 +39,13 @@ func Merge(outputs [][]byte) []byte {
 	return buf.Bytes()
 }
 
-// EntryUnits shards a bench run one experiment per unit, all sharing
-// one Runner — so units share its artifact store, worker pool and
-// in-process memoisation, exactly like a single-process run.
-func EntryUnits(r *runner.Runner, entries []exp.Entry) []Unit {
-	units := make([]Unit, len(entries))
-	for i, e := range entries {
-		e := e
-		units[i] = Unit{
-			ID: e.ID,
-			Run: func(ctx context.Context, _ int) ([]byte, error) {
-				tables, err := r.RunEntries(ctx, []exp.Entry{e})
-				if err != nil {
-					return nil, err
-				}
-				var buf bytes.Buffer
-				for _, t := range tables {
-					if err := t.Fprint(&buf); err != nil {
-						return nil, fmt.Errorf("rendering table %s: %w", t.ID, err)
-					}
-				}
-				return buf.Bytes(), nil
-			},
-		}
-	}
-	return units
-}
-
 // remoteRetries bounds how many 429 responses a remote unit absorbs
 // before giving up; waits honour the server's Retry-After ask.
 const remoteRetries = 8
 
 // RemoteEntryUnits shards a bench run across live backends: each unit
 // POSTs its experiment id to /v1/bench on endpoints[worker%len] (so
-// the work-stealing pool doubles as the load balancer), decodes the
+// the worker pool doubles as the load balancer), decodes the
 // table JSON, and renders it locally with the same Fprint the local
 // path uses — keeping the merged output byte-identical regardless of
 // which side ran the solve.
@@ -252,58 +120,4 @@ func remoteBench(ctx context.Context, client *http.Client, endpoint, id string) 
 			return nil, fmt.Errorf("%s: bench status %d: %s", endpoint, resp.StatusCode, bytes.TrimSpace(blob))
 		}
 	}
-}
-
-// FaultUnits shards a fault sweep one scale per unit: a single-scale
-// FaultSweep generates exactly the schedule the multi-scale sweep
-// generates for that scale (the injector is seeded per scale), so the
-// merged points equal the single-process sweep's — pinned by
-// TestFaultUnitsMatchSingleSweep. Per-scale results land in the
-// caller's slice by index (len(fc.Scales)); the rendered output comes
-// from MergeFaultResults afterwards, not from the units (Render is a
-// whole-sweep operation).
-func FaultUnits(r *runner.Runner, fc runner.FaultConfig, results []*runner.FaultSweepResult) []Unit {
-	units := make([]Unit, len(fc.Scales))
-	for i, sc := range fc.Scales {
-		i, sc := i, sc
-		units[i] = Unit{
-			ID: fmt.Sprintf("fault@%g", sc),
-			Run: func(ctx context.Context, _ int) ([]byte, error) {
-				one := fc
-				one.Scales = []float64{sc}
-				one.SaveSchedulePath = ""
-				res, err := r.FaultSweep(one)
-				if err != nil {
-					return nil, err
-				}
-				results[i] = res
-				return nil, nil
-			},
-		}
-	}
-	return units
-}
-
-// MergeFaultResults reassembles sharded per-scale results into the
-// result a single-process FaultSweep(fc) returns, ready to Render.
-// The sweep-wide header fields (bench name, mode count, offered
-// packets) are identical across shards — they derive from the config,
-// not the scale — so they come from the first shard.
-func MergeFaultResults(fc runner.FaultConfig, results []*runner.FaultSweepResult) (*runner.FaultSweepResult, error) {
-	if len(results) != len(fc.Scales) {
-		return nil, fmt.Errorf("fleet: %d fault shards for %d scales", len(results), len(fc.Scales))
-	}
-	merged := &runner.FaultSweepResult{Config: fc}
-	for i, res := range results {
-		if res == nil || len(res.Points) != 1 {
-			return nil, fmt.Errorf("fleet: fault shard %d incomplete", i)
-		}
-		if i == 0 {
-			merged.Bench = res.Bench
-			merged.Modes = res.Modes
-			merged.Packets = res.Packets
-		}
-		merged.Points = append(merged.Points, res.Points[0])
-	}
-	return merged, nil
 }

@@ -3,13 +3,12 @@ package fleet
 import (
 	"bytes"
 	"context"
-	"errors"
-	"fmt"
 	"testing"
+	"time"
 
 	"mnoc/internal/exp"
 	"mnoc/internal/runner"
-	"mnoc/internal/telemetry"
+	"mnoc/internal/runner/pool"
 )
 
 // testOptions keeps fleet tests fast: the same radix-16 scale the
@@ -40,21 +39,33 @@ func sweepEntries(t *testing.T, ids ...string) []exp.Entry {
 	return entries
 }
 
-// TestSweepMatchesSingleProcess pins the coordinator's core contract:
-// a sharded sweep merges byte-identically to a single-process run of
-// the same entries, regardless of worker count.
+// TestSweepMatchesSingleProcess pins the remote coordinator's core
+// contract: entries sharded one unit each across live backends merge
+// byte-identically to a single-process run of the same entries,
+// whatever the worker count and whichever backend ran which unit.
 func TestSweepMatchesSingleProcess(t *testing.T) {
 	ctx := context.Background()
 	entries := sweepEntries(t, "table1", "fig2", "fig3")
+	ids := make([]string, len(entries))
+	for i, e := range entries {
+		ids[i] = e.ID
+	}
 
 	var single bytes.Buffer
 	if err := testRunner(t).Run(ctx, &single, entries); err != nil {
 		t.Fatal(err)
 	}
 
+	_, a := newRealBackend(t)
+	_, b := newRealBackend(t)
+	units := RemoteEntryUnits(ids, []string{a.URL, b.URL}, time.Minute)
 	for _, workers := range []int{1, 4} {
-		r := testRunner(t)
-		outs, err := RunUnits(ctx, EntryUnits(r, entries), workers, r.Telemetry())
+		outs := make([][]byte, len(units))
+		_, err := pool.Run(ctx, len(units), workers, true, nil, func(ctx context.Context, worker, i int) error {
+			out, err := units[i].Run(ctx, worker)
+			outs[i] = out
+			return err
+		})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -62,124 +73,5 @@ func TestSweepMatchesSingleProcess(t *testing.T) {
 			t.Fatalf("workers=%d: sharded output differs from single-process run:\n--- sharded ---\n%s\n--- single ---\n%s",
 				workers, got, single.Bytes())
 		}
-	}
-}
-
-// TestRunUnitsStealing forces a steal deterministically: worker 0's
-// first unit blocks until its second unit (seeded to worker 0's queue)
-// has run — which can only happen if worker 1 steals it.
-func TestRunUnitsStealing(t *testing.T) {
-	ctx := context.Background()
-	stolenRan := make(chan struct{})
-	units := []Unit{
-		{ID: "blocker", Run: func(ctx context.Context, _ int) ([]byte, error) {
-			select {
-			case <-stolenRan:
-				return []byte("a"), nil
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		}},
-		{ID: "w1-own", Run: func(context.Context, int) ([]byte, error) { return []byte("b"), nil }},
-		{ID: "stealable", Run: func(context.Context, int) ([]byte, error) {
-			close(stolenRan)
-			return []byte("c"), nil
-		}},
-	}
-	reg := telemetry.NewRegistry()
-	outs, err := RunUnits(ctx, units, 2, reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := string(Merge(outs)); got != "abc" {
-		t.Fatalf("merged %q, want \"abc\" (unit order)", got)
-	}
-	if steals := reg.Snapshot().Counters[MetricSweepSteals]; steals < 1 {
-		t.Fatalf("steals=%d, want >= 1", steals)
-	}
-	if units := reg.Snapshot().Counters[MetricSweepUnits]; units != 3 {
-		t.Fatalf("units=%d, want 3", units)
-	}
-}
-
-// TestRunUnitsError pins fail-fast: a failing unit cancels the run and
-// its error names the unit.
-func TestRunUnitsError(t *testing.T) {
-	boom := errors.New("boom")
-	units := []Unit{
-		{ID: "ok", Run: func(context.Context, int) ([]byte, error) { return []byte("x"), nil }},
-		{ID: "bad", Run: func(context.Context, int) ([]byte, error) { return nil, boom }},
-	}
-	_, err := RunUnits(context.Background(), units, 1, nil)
-	if !errors.Is(err, boom) {
-		t.Fatalf("err=%v, want wrapped boom", err)
-	}
-	if err == nil || !bytes.Contains([]byte(err.Error()), []byte("bad")) {
-		t.Fatalf("error %v does not name the failing unit", err)
-	}
-}
-
-// TestFaultUnitsMatchSingleSweep pins the other sharding axis: a
-// per-scale sharded fault sweep renders byte-identically to the
-// single-process multi-scale sweep.
-func TestFaultUnitsMatchSingleSweep(t *testing.T) {
-	fc := runner.FaultConfig{
-		N: 16, Bench: "syn_uniform", Cycles: 50_000, Flits: 2000, Seed: 1,
-		Scales: []float64{0, 1, 2},
-	}
-	r := testRunner(t)
-	single, err := r.FaultSweep(fc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want bytes.Buffer
-	if err := single.Render(&want, false); err != nil {
-		t.Fatal(err)
-	}
-
-	shards := make([]*runner.FaultSweepResult, len(fc.Scales))
-	r2 := testRunner(t)
-	if _, err := RunUnits(context.Background(), FaultUnits(r2, fc, shards), 3, r2.Telemetry()); err != nil {
-		t.Fatal(err)
-	}
-	merged, err := MergeFaultResults(fc, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got bytes.Buffer
-	if err := merged.Render(&got, false); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatalf("sharded fault sweep differs:\n--- sharded ---\n%s\n--- single ---\n%s", got.Bytes(), want.Bytes())
-	}
-}
-
-func TestMergeFaultResultsValidation(t *testing.T) {
-	fc := runner.FaultConfig{Scales: []float64{0, 1}}
-	if _, err := MergeFaultResults(fc, make([]*runner.FaultSweepResult, 1)); err == nil {
-		t.Fatal("shard/scale count mismatch must error")
-	}
-	if _, err := MergeFaultResults(fc, make([]*runner.FaultSweepResult, 2)); err == nil {
-		t.Fatal("nil shard must error")
-	}
-}
-
-// TestRunUnitsWorkerIndexBounds pins that worker indices passed to
-// units stay within [0, workers), since remote units use them to pick
-// endpoints.
-func TestRunUnitsWorkerIndexBounds(t *testing.T) {
-	const workers = 3
-	units := make([]Unit, 10)
-	for i := range units {
-		units[i] = Unit{ID: fmt.Sprintf("u%d", i), Run: func(_ context.Context, w int) ([]byte, error) {
-			if w < 0 || w >= workers {
-				return nil, fmt.Errorf("worker index %d out of range", w)
-			}
-			return nil, nil
-		}}
-	}
-	if _, err := RunUnits(context.Background(), units, workers, nil); err != nil {
-		t.Fatal(err)
 	}
 }

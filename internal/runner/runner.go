@@ -2,12 +2,10 @@ package runner
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"sync"
 	"time"
 
 	"mnoc/internal/exp"
@@ -15,6 +13,7 @@ import (
 	"mnoc/internal/noc"
 	"mnoc/internal/power"
 	"mnoc/internal/runner/artifact"
+	"mnoc/internal/runner/pool"
 	"mnoc/internal/telemetry"
 	"mnoc/internal/trace"
 	"mnoc/internal/workload"
@@ -143,74 +142,40 @@ func (r *Runner) Precompute(ctx context.Context) error {
 	return nil
 }
 
-// RunEntries executes the experiments on the worker pool and returns
-// their tables in entry order. Every failing entry is reported (errors
-// joined in entry order), not just the first — unless Config.FailFast
-// is set, in which case the first error cancels the run context so
-// queued entries never start and in-flight entries abort at their next
-// cancellation point. A done ctx (deadline or caller cancel) has the
-// same draining effect. The pool reports into the run's telemetry:
-// runner.queue_depth/active gauges track scheduling, each entry records
-// a span plus its wall time in runner.entry_ms, and
+// RunEntries executes the experiments on the worker pool
+// (internal/runner/pool) and returns their tables in entry order.
+// Every failing entry is reported (errors joined in entry order), not
+// just the first — unless Config.FailFast is set, in which case the
+// first error cancels the run so queued entries never start and
+// in-flight entries abort at their next cancellation point. A done ctx
+// (deadline or caller cancel) stops further entries from starting and
+// is reported once. The pool reports runner.queue_depth/active; each
+// entry records a span plus its wall time in runner.entry_ms, and
 // runner.entries/entry_errors count outcomes.
 func (r *Runner) RunEntries(ctx context.Context, entries []exp.Entry) ([]*exp.Table, error) {
-	runCtx := ctx
-	var cancel context.CancelFunc
-	if r.cfg.FailFast {
-		runCtx, cancel = context.WithCancel(ctx)
-		defer cancel()
-	}
 	tables := make([]*exp.Table, len(entries))
-	errs := make([]error, len(entries))
-	sem := make(chan struct{}, r.workers)
-	queued := r.tel.Gauge("runner.queue_depth")
-	active := r.tel.Gauge("runner.active")
 	entriesC := r.tel.Counter("runner.entries")
 	errorsC := r.tel.Counter("runner.entry_errors")
 	entryMS := r.tel.Histogram("runner.entry_ms", EntryMSBuckets...)
-	var wg sync.WaitGroup
-	for i, e := range entries {
-		wg.Add(1)
-		go func(i int, e exp.Entry) {
-			defer wg.Done()
-			queued.Add(1)
-			select {
-			case sem <- struct{}{}:
-				queued.Add(-1)
-			case <-runCtx.Done():
-				queued.Add(-1)
-				errs[i] = fmt.Errorf("%s: %w", e.ID, runCtx.Err())
-				return
-			}
-			active.Add(1)
-			defer func() { active.Add(-1); <-sem }()
-			sp := r.tracer.StartSpan("runner", "entry."+e.ID)
-			//mnoclint:allow determinism wall clock only feeds the runner.entry_ms telemetry histogram, never table output
-			begin := time.Now()
-			t, err := e.Run(runCtx, r.ctx)
-			entryMS.Observe(float64(time.Since(begin)) / float64(time.Millisecond))
-			entriesC.Inc()
-			if err != nil {
-				sp.Attr("error", err.Error())
-				errorsC.Inc()
-			}
-			sp.End()
-			if err != nil {
-				errs[i] = fmt.Errorf("%s: %w", e.ID, err)
-				if cancel != nil {
-					cancel()
-				}
-				return
-			}
-			tables[i] = t
-		}(i, e)
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	_, err := pool.Run(ctx, len(entries), r.workers, r.cfg.FailFast, r.tel, func(ctx context.Context, _, i int) error {
+		e := entries[i]
+		sp := r.tracer.StartSpan("runner", "entry."+e.ID)
+		defer sp.End()
+		//mnoclint:allow determinism wall clock only feeds the runner.entry_ms telemetry histogram, never table output
+		begin := time.Now()
+		t, err := e.Run(ctx, r.ctx)
+		entryMS.Observe(float64(time.Since(begin)) / float64(time.Millisecond))
+		entriesC.Inc()
+		if err != nil {
+			sp.Attr("error", err.Error())
+			errorsC.Inc()
+			return fmt.Errorf("%s: %w", e.ID, err)
+		}
+		tables[i] = t
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("runner: %w", err)
 	}
 	return tables, nil
 }

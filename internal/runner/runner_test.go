@@ -189,7 +189,7 @@ func TestFaultSweepPointErrorContext(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := telemetry.NewRegistry()
-	_, err = FaultSweep(store, 2, fc, reg, nil)
+	_, err = FaultSweep(context.Background(), store, 2, fc, reg, nil)
 	if err == nil {
 		t.Fatal("mismatched-radix schedule did not fail")
 	}
@@ -234,7 +234,15 @@ func TestRunEntriesFailFast(t *testing.T) {
 	boom := exp.Entry{ID: "boom", Title: "boom", Run: func(context.Context, *exp.Context) (*exp.Table, error) {
 		return nil, os.ErrNotExist
 	}}
+	// waitsStarted makes "waits" provably in flight before boomAfter
+	// fails: the pool never starts an entry once fail-fast has fired.
+	waitsStarted := make(chan struct{})
+	boomAfter := exp.Entry{ID: "boom", Title: "boom", Run: func(context.Context, *exp.Context) (*exp.Table, error) {
+		<-waitsStarted
+		return nil, os.ErrNotExist
+	}}
 	waits := exp.Entry{ID: "waits", Title: "waits", Run: func(ctx context.Context, _ *exp.Context) (*exp.Table, error) {
+		close(waitsStarted)
 		<-ctx.Done() // only fail-fast cancellation can release this
 		return nil, ctx.Err()
 	}}
@@ -243,7 +251,7 @@ func TestRunEntriesFailFast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = r.RunEntries(context.Background(), []exp.Entry{boom, waits})
+	_, err = r.RunEntries(context.Background(), []exp.Entry{boomAfter, waits})
 	if err == nil {
 		t.Fatal("fail-fast run reported no error")
 	}
@@ -320,12 +328,12 @@ func TestFaultSweepDeterminism(t *testing.T) {
 		N: 16, Bench: "syn_uniform", Cycles: 20_000, Flits: 1_000, Seed: 1,
 		Scales: []float64{0, 1, 2},
 	}
-	render := func(workers int) string {
+	render := func(fc FaultConfig, workers int) string {
 		r, err := New(Config{Options: testOptions(), Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := r.FaultSweep(fc)
+		res, err := r.FaultSweep(context.Background(), fc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -335,13 +343,21 @@ func TestFaultSweepDeterminism(t *testing.T) {
 		}
 		return buf.String()
 	}
-	seq := render(1)
-	par := render(8)
+	seq := render(fc, 1)
+	par := render(fc, 8)
 	if seq != par {
 		t.Fatalf("fault sweep differs across worker counts:\n--- w1 ---\n%s\n--- w8 ---\n%s", seq, par)
 	}
 	if !strings.Contains(seq, "scale 2.00:") {
 		t.Fatalf("sweep output incomplete:\n%s", seq)
+	}
+	// A point depends on the seed and its scale alone: a one-scale
+	// sweep reproduces that point's line of the full sweep.
+	one := fc
+	one.Scales = []float64{2}
+	point := strings.SplitN(render(one, 1), "\n", 2)[0]
+	if !strings.Contains(seq, point+"\n") {
+		t.Fatalf("one-scale sweep point %q missing from the full sweep:\n%s", point, seq)
 	}
 }
 
@@ -354,7 +370,7 @@ func TestFaultSweepScheduleRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := r.FaultSweep(fc)
+	res, err := r.FaultSweep(context.Background(), fc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +383,7 @@ func TestFaultSweepScheduleRoundtrip(t *testing.T) {
 	replay := fc
 	replay.Scales = nil
 	replay.SchedulePath = path
-	res2, err := r.FaultSweep(replay)
+	res2, err := r.FaultSweep(context.Background(), replay)
 	if err != nil {
 		t.Fatal(err)
 	}

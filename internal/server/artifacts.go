@@ -32,6 +32,12 @@ import (
 // real blob while still refusing a runaway upload.
 const maxArtifactBytes = 256 << 20
 
+// maxRequestBytes bounds a /v1/* request body. Every request is a
+// handful of short fields (a bench request lists at most every
+// experiment id once), so 1 MiB is far above any real body while still
+// refusing a runaway upload with a 413.
+const maxRequestBytes = 1 << 20
+
 // artifactKeyFromPath extracts and sanity-checks the content key.
 func artifactKeyFromPath(path string) (artifact.Key, error) {
 	k := strings.TrimPrefix(path, "/artifacts/")

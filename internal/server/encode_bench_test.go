@@ -131,13 +131,18 @@ func BenchmarkRequestDecode(b *testing.B) {
 	}
 }
 
-// decodeBody mirrors decodePost's decoding discipline without the
-// ResponseWriter plumbing, so the benchmark isolates parse cost.
+// decodeBody mirrors decodePost's decoding discipline (unknown fields
+// and trailing data rejected) without the ResponseWriter plumbing —
+// method check, body cap, error envelope — so the benchmark isolates
+// parse cost.
 func decodeBody(r io.Reader, v any) error {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("decode: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("decode: trailing data: %v", err)
 	}
 	return nil
 }

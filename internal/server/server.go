@@ -23,8 +23,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -403,6 +405,16 @@ func (s *Server) handleBench(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, errors.New("server: no experiment ids"))
 		return
 	}
+	if limit := len(exp.Registry()) + len(exp.Extensions()); len(ids) > limit {
+		s.writeError(w, http.StatusBadRequest, fmt.Errorf("server: %d experiment ids, at most %d", len(ids), limit))
+		return
+	}
+	for i, id := range ids {
+		if slices.Contains(ids[:i], id) {
+			s.writeError(w, http.StatusBadRequest, fmt.Errorf("server: experiment id %q repeated", id))
+			return
+		}
+	}
 	entries := make([]exp.Entry, 0, len(ids))
 	for _, id := range ids {
 		e, err := exp.ByID(id)
@@ -568,8 +580,10 @@ func (s *Server) writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
-// decodePost enforces POST + a well-formed JSON body. Unknown fields
-// are rejected so typoed requests fail loudly.
+// decodePost enforces POST + a body of exactly one well-formed JSON
+// value of at most maxRequestBytes. Unknown fields and anything but
+// whitespace after the value are rejected (400) so typoed or
+// concatenated requests fail loudly; an oversized body gets a 413.
 //
 //mnoclint:hot
 func (s *Server) decodePost(w http.ResponseWriter, r *http.Request, dst any) bool {
@@ -577,14 +591,29 @@ func (s *Server) decodePost(w http.ResponseWriter, r *http.Request, dst any) boo
 		s.writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("server: %s needs POST", r.URL.Path))
 		return false
 	}
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("server: parsing request: %w", err))
-		return false
+	err := dec.Decode(dst)
+	if err == nil {
+		// Token returns io.EOF bare once only whitespace remains.
+		if _, err = dec.Token(); err == io.EOF {
+			return true
+		}
+		if err == nil {
+			err = errTrailingData
+		}
 	}
-	return true
+	status := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	s.writeError(w, status, fmt.Errorf("server: parsing request: %w", err))
+	return false
 }
+
+// errTrailingData rejects a body with more after its JSON value.
+var errTrailingData = errors.New("trailing data after the JSON value")
 
 // validateSolve rejects unknown workloads and design kinds before the
 // request occupies a queue slot.

@@ -48,7 +48,13 @@ func post(t *testing.T, url string, body any) (*http.Response, []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(url, "application/json", bytes.NewReader(blob))
+	return postRaw(t, url, string(blob))
+}
+
+// postRaw POSTs body verbatim, for requests json.Marshal cannot build.
+func postRaw(t *testing.T, url, body string) (*http.Response, []byte) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,26 +135,52 @@ func TestBenchEndpoint(t *testing.T) {
 
 func TestBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, testConfig())
+	tooMany := make([]string, len(exp.Registry())+len(exp.Extensions())+1)
+	for i := range tooMany {
+		tooMany[i] = fmt.Sprintf("id%d", i)
+	}
 	for _, tc := range []struct {
 		path string
-		body any
+		body any    // JSON-encoded unless raw is set
+		raw  string // sent verbatim
+		want int    // status; 0 means 400
+		msg  string // expected in the error envelope, if set
 	}{
-		{"/v1/solve", SolveRequest{Bench: "nope", Kind: "dist4"}},
-		{"/v1/solve", SolveRequest{Bench: "fft", Kind: "nope"}},
-		{"/v1/solve", map[string]any{"bench": "fft", "typo_field": 1}},
-		{"/v1/evaluate", EvaluateRequest{Bench: "fft", Policy: "base", Scale: -1}},
-		{"/v1/bench", BenchRequest{ID: "nope"}},
-		{"/v1/bench", BenchRequest{}},
+		{path: "/v1/solve", body: SolveRequest{Bench: "nope", Kind: "dist4"}},
+		{path: "/v1/solve", body: SolveRequest{Bench: "fft", Kind: "nope"}},
+		{path: "/v1/solve", body: map[string]any{"bench": "fft", "typo_field": 1}},
+		{path: "/v1/evaluate", body: EvaluateRequest{Bench: "fft", Policy: "base", Scale: -1}},
+		{path: "/v1/bench", body: BenchRequest{ID: "nope"}},
+		{path: "/v1/bench", body: BenchRequest{}},
+		{path: "/v1/bench", body: BenchRequest{IDs: tooMany}, msg: "at most"},
+		{path: "/v1/bench", body: BenchRequest{IDs: []string{"table1", "fig2"}, ID: "table1"}, msg: "repeated"},
+		{path: "/v1/solve", raw: `{"bench":"fft","kind":"dist4"} {"bench":"fft"}`, msg: "trailing data"},
+		{path: "/v1/solve", raw: `{"bench":"fft","kind":"dist4"}garbage`},
+		{path: "/v1/solve", raw: `{"bench":"fft","kind":"dist4"` + strings.Repeat(" ", maxRequestBytes) + `}`,
+			want: http.StatusRequestEntityTooLarge},
 	} {
-		resp, body := post(t, ts.URL+tc.path, tc.body)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s %+v: status %d (%s), want 400", tc.path, tc.body, resp.StatusCode, body)
+		want := tc.want
+		if want == 0 {
+			want = http.StatusBadRequest
+		}
+		var resp *http.Response
+		var body []byte
+		if tc.raw != "" {
+			resp, body = postRaw(t, ts.URL+tc.path, tc.raw)
+		} else {
+			resp, body = post(t, ts.URL+tc.path, tc.body)
+		}
+		if resp.StatusCode != want {
+			t.Errorf("%s %+v %.60q: status %d (%s), want %d", tc.path, tc.body, tc.raw, resp.StatusCode, body, want)
 		}
 		var e struct {
 			Error string `json:"error"`
 		}
 		if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
 			t.Errorf("%s: error envelope missing: %s", tc.path, body)
+		}
+		if !strings.Contains(e.Error, tc.msg) {
+			t.Errorf("%s: error %q does not mention %q", tc.path, e.Error, tc.msg)
 		}
 	}
 	// GET on a POST route.
