@@ -118,10 +118,10 @@ fuzz:
 # ---- Performance baseline (docs/BENCH.md) ----------------------------
 
 # The curated hot-path benchmark set tracked in BENCH_baseline.json:
-# splitter solve/recurrence, QAP mapping, multicore-sim inner loop,
-# power evaluation, trace replay, and the serve-path JSON
-# encode/decode pairs.
-BENCH_PATTERN = ^(BenchmarkSplitterDesign|BenchmarkQAPTaboo|BenchmarkPowerEvaluate|BenchmarkNoCReplay|BenchmarkMulticoreSim|BenchmarkSplitterRecurrenceTyped|BenchmarkSplitterRecurrenceRaw|BenchmarkPowerEvalTyped|BenchmarkPowerEvalRaw|BenchmarkJSONPackageEncoding|BenchmarkJSONArtisinalEncoding|BenchmarkWriteJSON|BenchmarkRequestDecode)$$
+# splitter solve/recurrence, QAP mapping, the dynamic controller's swap
+# search, multicore-sim inner loop, power evaluation, trace replay, and
+# the serve-path JSON encode/decode pairs.
+BENCH_PATTERN = ^(BenchmarkSplitterDesign|BenchmarkQAPTaboo|BenchmarkGreedySwaps|BenchmarkPowerEvaluate|BenchmarkNoCReplay|BenchmarkMulticoreSim|BenchmarkSplitterRecurrenceTyped|BenchmarkSplitterRecurrenceRaw|BenchmarkPowerEvalTyped|BenchmarkPowerEvalRaw|BenchmarkJSONPackageEncoding|BenchmarkJSONArtisinalEncoding|BenchmarkWriteJSON|BenchmarkRequestDecode)$$
 BENCH_PKGS = . ./internal/phys ./internal/server
 BENCH_DATE ?= $(shell date -u +%Y-%m-%d)
 BENCH_FILE ?= BENCH_$(BENCH_DATE).json

@@ -150,6 +150,33 @@ func BenchmarkQAPTaboo(b *testing.B) {
 	}
 }
 
+// BenchmarkGreedySwaps measures the dynamic controller's per-epoch
+// migration search at the paper's radix 256: four best-improvement swap
+// steps (8 migrations) over every thread pair of a water_spatial
+// instance.
+func BenchmarkGreedySwaps(b *testing.B) {
+	bench, err := workload.ByName("water_s")
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := bench.Matrix(256, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prob, err := mapping.FromTraffic(m, splitter.DefaultParams(256).Layout)
+	if err != nil {
+		b.Fatal(err)
+	}
+	start := mapping.Identity(256)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, swaps := prob.GreedySwaps(start, 4); swaps != 4 {
+			b.Fatalf("%d swaps, want 4", swaps)
+		}
+	}
+}
+
 // BenchmarkPowerEvaluate measures one full-crossbar power evaluation of
 // a radix-256 traffic matrix under a 4-mode topology.
 func BenchmarkPowerEvaluate(b *testing.B) {

@@ -258,28 +258,8 @@ func improveMapping(net *power.MNoC, observed *trace.Matrix, cur mapping.Assignm
 		return cur, 0, nil
 	}
 
-	cand := append(mapping.Assignment(nil), cur...)
-	swaps := pol.MaxMigrationsPerEpoch / 2
-	moved := 0
-	for k := 0; k < swaps; k++ {
-		bestI, bestJ, bestGain := -1, -1, 0.0
-		before := prob.Objective(cand)
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				cand[i], cand[j] = cand[j], cand[i]
-				gain := before - prob.Objective(cand)
-				cand[i], cand[j] = cand[j], cand[i]
-				if gain > bestGain {
-					bestI, bestJ, bestGain = i, j, gain
-				}
-			}
-		}
-		if bestI < 0 {
-			break
-		}
-		cand[bestI], cand[bestJ] = cand[bestJ], cand[bestI]
-		moved += 2
-	}
+	cand, swaps := prob.GreedySwaps(cur, pol.MaxMigrationsPerEpoch/2)
+	moved := 2 * swaps
 	if moved == 0 {
 		return cur, 0, nil
 	}

@@ -108,23 +108,88 @@ func (p *Problem) Objective(a Assignment) float64 {
 	return sum
 }
 
+// kernel is one search call's view of a Problem for scoring swaps. It
+// holds flat n×n transposes of Flow and Cost, so every column the swap
+// delta reads is a contiguous row. A kernel is built per call and never
+// cached on the Problem: its fields are exported, and concurrent
+// searches share one Problem.
+type kernel struct {
+	n            int
+	flow, cost   [][]float64
+	flowT, costT []float64 // flowT[j*n+i] = Flow[i][j], likewise costT
+}
+
+func (p *Problem) kernel() kernel {
+	n := p.N
+	k := kernel{n: n, flow: p.Flow, cost: p.Cost,
+		flowT: make([]float64, n*n), costT: make([]float64, n*n)}
+	for i := 0; i < n; i++ {
+		fi, ci := p.Flow[i][:n], p.Cost[i][:n]
+		for j := 0; j < n; j++ {
+			k.flowT[j*n+i] = fi[j]
+			k.costT[j*n+i] = ci[j]
+		}
+	}
+	return k
+}
+
+// rowFT returns column i of Flow; rowCT returns column i of Cost.
+func (k *kernel) rowFT(i int) []float64 { return k.flowT[i*k.n:][:k.n] }
+func (k *kernel) rowCT(i int) []float64 { return k.costT[i*k.n:][:k.n] }
+
 // swapDelta computes the objective change of swapping the cores of
 // threads r and s (general asymmetric form, O(n)).
-func (p *Problem) swapDelta(a Assignment, r, s int) float64 {
+func (k *kernel) swapDelta(a Assignment, r, s int) float64 {
+	n := k.n
+	a = a[:n]
 	ar, as := a[r], a[s]
-	d := p.Flow[r][s]*(p.Cost[as][ar]-p.Cost[ar][as]) +
-		p.Flow[s][r]*(p.Cost[ar][as]-p.Cost[as][ar])
-	for k := 0; k < p.N; k++ {
-		if k == r || k == s {
-			continue
+	fr, fs := k.flow[r][:n], k.flow[s][:n]
+	ftr, fts := k.rowFT(r), k.rowFT(s)
+	car, cas := k.cost[ar][:n], k.cost[as][:n]
+	ctar, ctas := k.rowCT(ar), k.rowCT(as)
+	d := fr[s]*(cas[ar]-car[as]) +
+		fs[r]*(car[as]-cas[ar])
+	// Sum over t ∉ {r, s} in increasing t: the three runs between them.
+	lo, hi := min(r, s), max(r, s)
+	for _, run := range [3][2]int{{0, lo}, {lo + 1, hi}, {hi + 1, n}} {
+		for t := run[0]; t < run[1]; t++ {
+			at := a[t]
+			d += ftr[t]*(ctas[at]-ctar[at]) +
+				fts[t]*(ctar[at]-ctas[at]) +
+				fr[t]*(cas[at]-car[at]) +
+				fs[t]*(car[at]-cas[at])
 		}
-		ak := a[k]
-		d += p.Flow[k][r]*(p.Cost[ak][as]-p.Cost[ak][ar]) +
-			p.Flow[k][s]*(p.Cost[ak][ar]-p.Cost[ak][as]) +
-			p.Flow[r][k]*(p.Cost[as][ak]-p.Cost[ar][ak]) +
-			p.Flow[s][k]*(p.Cost[ar][ak]-p.Cost[as][ak])
 	}
 	return d
+}
+
+// GreedySwaps runs up to k steps of best-improvement search from start
+// (copied, not mutated). Each step scores every pair i < j by its O(n)
+// swap delta and applies the swap with the largest strictly positive
+// gain, the first in row-major (i, j) order on ties; it stops early
+// when no swap gains. It returns the result and the swaps applied.
+//
+//mnoclint:hot
+func (p *Problem) GreedySwaps(start Assignment, k int) (Assignment, int) {
+	kn := p.kernel()
+	n := p.N
+	cand := append(Assignment(nil), start...)
+	swaps := 0
+	for ; swaps < k; swaps++ {
+		bestI, bestJ, bestGain := -1, -1, 0.0
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				if gain := -kn.swapDelta(cand, i, j); gain > bestGain {
+					bestI, bestJ, bestGain = i, j, gain
+				}
+			}
+		}
+		if bestI < 0 {
+			break
+		}
+		cand[bestI], cand[bestJ] = cand[bestJ], cand[bestI]
+	}
+	return cand, swaps
 }
 
 // TabooOptions tunes the robust taboo search.
@@ -158,34 +223,33 @@ func (p *Problem) Taboo(start Assignment, opt TabooOptions) Assignment {
 	opt.fill(p.N)
 	rng := rand.New(rand.NewSource(opt.Seed))
 	n := p.N
+	kn := p.kernel()
 
 	cur := append(Assignment(nil), start...)
 	best := append(Assignment(nil), cur...)
 	curV := p.Objective(cur)
 	bestV := curV
 
-	// delta[r][s] caches swapDelta(cur, r, s) for r < s.
-	delta := make([][]float64, n)
-	for r := range delta {
-		delta[r] = make([]float64, n)
+	// delta[r*n+s] caches swapDelta(cur, r, s) for r < s.
+	delta := make([]float64, n*n)
+	for r := 0; r < n; r++ {
 		for s := r + 1; s < n; s++ {
-			delta[r][s] = p.swapDelta(cur, r, s)
+			delta[r*n+s] = kn.swapDelta(cur, r, s)
 		}
 	}
-	// tabuUntil[t][c] forbids placing thread t back on core c until the
-	// stored iteration.
-	tabuUntil := make([][]int, n)
-	for t := range tabuUntil {
-		tabuUntil[t] = make([]int, n)
-	}
+	// tabuUntil[t*n+c] forbids placing thread t back on core c until
+	// the stored iteration.
+	tabuUntil := make([]int, n*n)
 
 	for iter := 1; iter <= opt.Iterations; iter++ {
 		bestR, bestS := -1, -1
 		bestD := math.Inf(1)
 		for r := 0; r < n; r++ {
+			dr, tr := delta[r*n:(r+1)*n], tabuUntil[r*n:(r+1)*n]
+			cr := cur[r]
 			for s := r + 1; s < n; s++ {
-				d := delta[r][s]
-				tabu := iter < tabuUntil[r][cur[s]] || iter < tabuUntil[s][cur[r]]
+				d := dr[s]
+				tabu := iter < tr[cur[s]] || iter < tabuUntil[s*n+cr]
 				aspired := curV+d < bestV-1e-12
 				if tabu && !aspired {
 					continue
@@ -202,13 +266,13 @@ func (p *Problem) Taboo(start Assignment, opt TabooOptions) Assignment {
 			if bestR > bestS {
 				bestR, bestS = bestS, bestR
 			}
-			bestD = delta[bestR][bestS]
+			bestD = delta[bestR*n+bestS]
 		}
 
 		u, v := bestR, bestS
 		tenure := opt.MinTenure + rng.Intn(opt.MaxTenure-opt.MinTenure)
-		tabuUntil[u][cur[u]] = iter + tenure
-		tabuUntil[v][cur[v]] = iter + tenure
+		tabuUntil[u*n+cur[u]] = iter + tenure
+		tabuUntil[v*n+cur[v]] = iter + tenure
 
 		cur[u], cur[v] = cur[v], cur[u]
 		curV += bestD
@@ -218,22 +282,31 @@ func (p *Problem) Taboo(start Assignment, opt TabooOptions) Assignment {
 		}
 
 		// Refresh the delta cache. Pairs touching {u,v} are recomputed;
-		// the rest get Taillard's O(1) incremental update.
+		// the rest get Taillard's O(1) incremental update. cur is
+		// already swapped: au is thread u's new core (the old core of
+		// v) and vice versa.
+		au, av := cur[u], cur[v]
+		fu, fv := kn.flow[u][:n], kn.flow[v][:n]
+		ftu, ftv := kn.rowFT(u), kn.rowFT(v)
+		cau, cav := kn.cost[au][:n], kn.cost[av][:n]
+		ctau, ctav := kn.rowCT(au), kn.rowCT(av)
 		for r := 0; r < n; r++ {
+			dr := delta[r*n : (r+1)*n]
+			ar := cur[r]
+			ruv, urv := ftu[r]-ftv[r], fu[r]-fv[r]
+			ctauR, ctavR, cauR, cavR := ctau[ar], ctav[ar], cau[ar], cav[ar]
 			for s := r + 1; s < n; s++ {
 				if r == u || r == v || s == u || s == v {
-					delta[r][s] = p.swapDelta(cur, r, s)
+					dr[s] = kn.swapDelta(cur, r, s)
 					continue
 				}
-				ar, as, au, av := cur[r], cur[s], cur[u], cur[v]
-				// cur is already swapped: au is thread u's new core
-				// (the old core of v) and vice versa.
-				d := delta[r][s]
-				d += (p.Flow[r][u] - p.Flow[r][v]) * (p.Cost[as][au] - p.Cost[as][av] + p.Cost[ar][av] - p.Cost[ar][au])
-				d += (p.Flow[s][u] - p.Flow[s][v]) * (p.Cost[ar][au] - p.Cost[ar][av] + p.Cost[as][av] - p.Cost[as][au])
-				d += (p.Flow[u][r] - p.Flow[v][r]) * (p.Cost[au][as] - p.Cost[av][as] + p.Cost[av][ar] - p.Cost[au][ar])
-				d += (p.Flow[u][s] - p.Flow[v][s]) * (p.Cost[au][ar] - p.Cost[av][ar] + p.Cost[av][as] - p.Cost[au][as])
-				delta[r][s] = d
+				as := cur[s]
+				d := dr[s]
+				d += ruv * (ctau[as] - ctav[as] + ctavR - ctauR)
+				d += (ftu[s] - ftv[s]) * (ctauR - ctavR + ctav[as] - ctau[as])
+				d += urv * (cau[as] - cav[as] + cavR - cauR)
+				d += (fu[s] - fv[s]) * (cauR - cavR + cav[as] - cau[as])
+				dr[s] = d
 			}
 		}
 	}
@@ -261,6 +334,8 @@ func (p *Problem) Anneal(start Assignment, opt AnnealOptions) Assignment {
 	rng := rand.New(rand.NewSource(opt.Seed))
 	n := p.N
 
+	kn := p.kernel()
+
 	cur := append(Assignment(nil), start...)
 	best := append(Assignment(nil), cur...)
 	curV := p.Objective(cur)
@@ -272,7 +347,7 @@ func (p *Problem) Anneal(start Assignment, opt AnnealOptions) Assignment {
 	for k := 0; k < 2*n; k++ {
 		r := rng.Intn(n)
 		s := (r + 1 + rng.Intn(n-1)) % n
-		d := math.Abs(p.swapDelta(cur, r, s))
+		d := math.Abs(kn.swapDelta(cur, r, s))
 		if d == 0 {
 			continue
 		}
@@ -294,7 +369,7 @@ func (p *Problem) Anneal(start Assignment, opt AnnealOptions) Assignment {
 	for iter := 0; iter < opt.Iterations; iter++ {
 		r := rng.Intn(n)
 		s := (r + 1 + rng.Intn(n-1)) % n
-		d := p.swapDelta(cur, r, s)
+		d := kn.swapDelta(cur, r, s)
 		if d < 0 || rng.Float64() < math.Exp(-d/temp) {
 			cur[r], cur[s] = cur[s], cur[r]
 			curV += d

@@ -14,9 +14,11 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"mnoc/internal/trace"
@@ -242,8 +244,16 @@ func (b Benchmark) Trace(n int, cycles uint64, totalFlits int, seed int64) (*tra
 			Src:   int32(p.s), Dst: int32(p.d), Flits: 1,
 		}
 	}
-	sort.Slice(tr.Packets, func(i, j int) bool { return tr.Packets[i].Cycle < tr.Packets[j].Cycle })
+	sortByCycle(tr.Packets)
 	return tr, nil
+}
+
+// sortByCycle orders packets by injection cycle. pdqsort is not
+// stable, so the order of equal-cycle packets is part of every trace:
+// it must stay the pdqsort that sort.Slice and slices.SortFunc share,
+// and SortFunc needs no reflection-based swapper.
+func sortByCycle(ps []trace.Packet) {
+	slices.SortFunc(ps, func(a, b trace.Packet) int { return cmp.Compare(a.Cycle, b.Cycle) })
 }
 
 // Phase describes one segment of a phased workload.
@@ -265,7 +275,11 @@ func PhasedTrace(n int, phases []Phase, seed int64) (*trace.Trace, error) {
 	if len(phases) == 0 {
 		return nil, fmt.Errorf("workload: no phases")
 	}
-	out := &trace.Trace{N: n}
+	total := 0
+	for _, ph := range phases {
+		total += max(ph.Flits, 0)
+	}
+	out := &trace.Trace{N: n, Packets: make([]trace.Packet, 0, total)}
 	var offset uint64
 	for i, ph := range phases {
 		b, err := ByName(ph.Bench)

@@ -2,7 +2,10 @@ package workload
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"mnoc/internal/trace"
@@ -270,6 +273,28 @@ func TestGridAndBoxFactorisations(t *testing.T) {
 		x, y, z := box(n)
 		if x*y*z != n {
 			t.Errorf("box(%d) = %dx%dx%d", n, x, y, z)
+		}
+	}
+}
+
+// TestTraceSortMatchesSortSlice pins sortByCycle to the sort.Slice call
+// it replaced: pdqsort is not stable, so traces stay byte-identical only
+// if equal-cycle packets land in the same order. Few distinct cycles and
+// distinguishable packets make nearly every comparison a tie.
+func TestTraceSortMatchesSortSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, size := range []int{0, 1, 12, 13, 50, 1000, 40000} {
+		for _, cycles := range []int64{1, 7, 300} {
+			ps := make([]trace.Packet, size)
+			for i := range ps {
+				ps[i] = trace.Packet{Cycle: uint64(rng.Int63n(cycles)), Src: int32(i), Dst: int32(rng.Intn(64)), Flits: 1}
+			}
+			want := slices.Clone(ps)
+			sort.Slice(want, func(i, j int) bool { return want[i].Cycle < want[j].Cycle })
+			sortByCycle(ps)
+			if !slices.Equal(ps, want) {
+				t.Fatalf("%d packets over %d cycles: order differs from sort.Slice", size, cycles)
+			}
 		}
 	}
 }
