@@ -5,7 +5,7 @@ GO ?= go
 
 .PHONY: check vet lint lint-json build test race fuzz golden golden-check \
 	compare-golden compare-check metrics-golden metrics-check \
-	sweep-check bench bench-check bench-baseline
+	sweep-check paper-golden paper-check bench bench-check bench-baseline
 
 # The tier-1 gate: everything below must pass before merging. The two
 # golden diffs pin the byte-identity contract locally, not only in CI:
@@ -41,17 +41,21 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Regenerate the golden quick-scale benchmark tables. Run after an
-# intentional change to experiment output and commit the diff.
+# Regenerate the golden quick-scale tables: the paper's registry
+# tables and the extension tables. Run after an intentional change to
+# experiment output and commit the diff.
 golden:
 	$(GO) run ./cmd/mnoc bench -scale quick > testdata/golden/bench_quick.txt
+	$(GO) run ./cmd/mnoc bench -scale quick -exp ext > testdata/golden/bench_quick_ext.txt
 
-# Diff the current quick-scale tables against the checked-in fixture:
+# Diff the current quick-scale tables against the checked-in fixtures:
 # a deterministic end-to-end check that the single mnoc binary still
-# reproduces the paper's tables byte-for-byte.
+# reproduces the paper's tables and the extension tables byte-for-byte.
 golden-check:
 	$(GO) run ./cmd/mnoc bench -scale quick > /tmp/bench_quick.txt
 	diff -u testdata/golden/bench_quick.txt /tmp/bench_quick.txt
+	$(GO) run ./cmd/mnoc bench -scale quick -exp ext > /tmp/bench_quick_ext.txt
+	diff -u testdata/golden/bench_quick_ext.txt /tmp/bench_quick_ext.txt
 
 # Diff the sweep coordinator's local stdout against the bench golden
 # (minus its two header lines): pins the byte-identity contract —
@@ -62,6 +66,17 @@ golden-check:
 sweep-check:
 	$(GO) run ./cmd/mnoc sweep -scale quick -workers 4 > /tmp/sweep_quick.txt
 	tail -n +3 testdata/golden/bench_quick.txt | diff -u - /tmp/sweep_quick.txt
+
+# Regenerate the paper-scale tables (radix 256, every experiment) that
+# EXPERIMENTS.md quotes. Takes minutes, so it stays out of `check`.
+paper-golden:
+	$(GO) run ./cmd/mnoc bench -scale paper -exp everything > paper_results.txt
+
+# Diff a fresh paper-scale run against paper_results.txt: the
+# paper-fidelity counterpart of golden-check (also out of `check`).
+paper-check:
+	$(GO) run ./cmd/mnoc bench -scale paper -exp everything > /tmp/paper_results.txt
+	diff -u paper_results.txt /tmp/paper_results.txt
 
 # Regenerate the golden worst-vs-average loss comparison table.
 compare-golden:

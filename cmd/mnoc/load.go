@@ -11,6 +11,7 @@ import (
 	"sort"
 	"time"
 
+	"mnoc/internal/core"
 	"mnoc/internal/server"
 )
 
@@ -23,11 +24,11 @@ func loadCmd(args []string) {
 	fs := flag.NewFlagSet("mnoc load", flag.ExitOnError)
 	var (
 		url         = fs.String("url", "http://localhost:8080", "base URL of the running server")
-		addrList    = fs.String("addr", "", "comma-separated base URLs; workers round-robin across them (wins over -url)")
+		addrList    = fs.String("addr", "", "comma-separated base URLs; requests round-robin across them (wins over -url)")
 		requests    = fs.Int("requests", 1000, "total request count")
 		concurrency = fs.Int("concurrency", 32, "in-flight requests")
 		bench       = fs.String("bench", "", "single-benchmark mix: send only this workload (default: the built-in three-way mix)")
-		kind        = fs.String("kind", "comm4", "design kind for -bench")
+		kind        = fs.String("kind", core.KindComm4, kindUsage+" (with -bench)")
 		qap         = fs.Bool("qap", false, "request QAP thread mapping for -bench")
 		timeoutMS   = fs.Int64("timeout-ms", 60_000, "client-side per-request timeout")
 		retries     = fs.Int("retries", 3, "max retries of a 429 response, honouring Retry-After plus jitter (0 = fail immediately)")

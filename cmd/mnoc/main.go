@@ -8,8 +8,10 @@
 //	mnoc bench [-exp all|ext|everything|<id>] [-scale paper|quick] [-seed N]
 //	           [-json] [-csv dir] [-workers N] [-cache-dir dir] [-config f.json]
 //	           [-metrics-out m.json] [-trace-out t.json] [-pprof addr]
-//	mnoc power -i trace.trc | -matrix m.csv [-kind comm4|...] [-qap] [-cache-dir dir]
-//	mnoc topo  [-n 64] [-bench water_s] [-kind comm2|...] [-qap] [-export f] [-cache-dir dir]
+//	mnoc power -i trace.trc | -matrix m.csv [-kind base|cluster2|comm2|comm4|dist2|dist4]
+//	           [-qap] [-cache-dir dir]
+//	mnoc topo  [-n 64] [-bench water_s] [-kind base|cluster2|comm2|comm4|dist2|dist4]
+//	           [-qap] [-export f] [-cache-dir dir]
 //	mnoc compare [-bench water_s] [-loss average|worst] [-scale paper|quick]
 //	           [-seed N] [-qap] [-workers N] [-cache-dir dir] [-config f.json]
 //	mnoc trace gen|info [flags]
@@ -61,6 +63,9 @@ package main
 import (
 	"fmt"
 	"os"
+	"strings"
+
+	"mnoc/internal/core"
 )
 
 // commands maps each subcommand to its implementation and one-line
@@ -117,6 +122,10 @@ func usage(code int) {
 	fmt.Fprintln(w, "run 'mnoc <subcommand> -h' for flags")
 	os.Exit(code)
 }
+
+// kindUsage is the -kind help of `mnoc power` and `mnoc topo`: the
+// registry's design kinds (core.KindSpec).
+var kindUsage = "design kind, one of: " + strings.Join(core.Kinds(), ", ")
 
 // fail prints a subcommand-scoped error and exits.
 func fail(sub string, err error) {

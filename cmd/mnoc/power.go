@@ -22,12 +22,16 @@ func powerCmd(args []string) {
 		in       = fs.String("i", "", "input trace file (this or -matrix is required)")
 		matrix   = fs.String("matrix", "", "input CSV traffic matrix (flits; alternative to -i)")
 		cyc      = fs.Float64("cycles", 1e6, "evaluation window in cycles when using -matrix")
-		kind     = fs.String("kind", "comm4", "design kind: comm2, comm4, dist2, dist4, broadcast")
+		kind     = fs.String("kind", core.KindComm4, kindUsage)
 		qap      = fs.Bool("qap", true, "apply QAP thread mapping")
 		seed     = fs.Int64("seed", 1, "random seed for the QAP search")
 		cacheDir = fs.String("cache-dir", "", "persistent artifact cache directory (reuses QAP solves across runs)")
 	)
 	fs.Parse(args)
+	spec, err := core.KindSpec(*kind)
+	if err != nil {
+		fail("power", err)
+	}
 
 	var profile *trace.Matrix
 	var cycles float64
@@ -78,7 +82,7 @@ func powerCmd(args []string) {
 		fail("power", err)
 	}
 
-	base, err := sys.BroadcastDesign()
+	base, err := sys.Design(core.Base, nil)
 	if err != nil {
 		fail("power", err)
 	}
@@ -102,43 +106,14 @@ func powerCmd(args []string) {
 	if err != nil {
 		fail("power", err)
 	}
-	switch *kind {
-	case "comm2", "comm4":
-		modes := 2
-		if *kind == "comm4" {
-			modes = 4
-		}
-		pt, err := sys.CommAwareDesign(mapped, modes)
-		if err != nil {
-			fail("power", err)
-		}
-		design, err = pt.WithMapping(design.Mapping)
-		if err != nil {
-			fail("power", err)
-		}
-	case "dist2":
-		d, err := sys.DistanceDesign([]int{profile.N / 2, profile.N - 1 - profile.N/2}, power.UniformWeighting(2))
-		if err != nil {
-			fail("power", err)
-		}
-		design, err = d.WithMapping(design.Mapping)
-		if err != nil {
-			fail("power", err)
-		}
-	case "dist4":
-		q := profile.N / 4
-		d, err := sys.DistanceDesign([]int{q, q, q, profile.N - 1 - 3*q}, power.UniformWeighting(4))
-		if err != nil {
-			fail("power", err)
-		}
-		design, err = d.WithMapping(design.Mapping)
-		if err != nil {
-			fail("power", err)
-		}
-	case "broadcast":
-		// keep the base design (with optional mapping)
-	default:
-		fail("power", fmt.Errorf("unknown kind %q", *kind))
+	// The kind's design is built from the input's own (mapped) profile
+	// and keeps the mapping.
+	pt, err := sys.Design(spec.OnProfile(), mapped)
+	if err != nil {
+		fail("power", err)
+	}
+	if design, err = pt.WithMapping(design.Mapping); err != nil {
+		fail("power", err)
 	}
 
 	bd, err := design.Power(profile, cycles)

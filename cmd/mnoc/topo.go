@@ -9,7 +9,6 @@ import (
 	"mnoc/internal/drivetable"
 	"mnoc/internal/mapping"
 	"mnoc/internal/phys"
-	"mnoc/internal/power"
 	"mnoc/internal/runner"
 )
 
@@ -21,7 +20,7 @@ func topoCmd(args []string) {
 	var (
 		n        = fs.Int("n", 64, "crossbar radix")
 		bench    = fs.String("bench", "water_s", "workload to profile (one of: "+fmt.Sprint(core.Benchmarks())+")")
-		kind     = fs.String("kind", "comm2", "design kind: comm2, comm4, dist2, dist4, cluster, broadcast")
+		kind     = fs.String("kind", core.KindComm2, kindUsage)
 		qap      = fs.Bool("qap", false, "apply QAP thread mapping before profiling-driven design")
 		render   = fs.Int("render", 16, "how many nodes of the adjacency matrix to print (0 = none)")
 		seed     = fs.Int64("seed", 1, "random seed")
@@ -29,6 +28,10 @@ func topoCmd(args []string) {
 		cacheDir = fs.String("cache-dir", "", "persistent artifact cache directory (reuses QAP solves across runs)")
 	)
 	fs.Parse(args)
+	spec, err := core.KindSpec(*kind)
+	if err != nil {
+		fail("topo", err)
+	}
 
 	store, err := runner.NewStore(*cacheDir)
 	if err != nil {
@@ -45,7 +48,7 @@ func topoCmd(args []string) {
 
 	// Optionally map threads first so the design sees core-indexed
 	// traffic the way the paper's T variants do.
-	design, err := sys.BroadcastDesign()
+	design, err := sys.Design(core.Base, nil)
 	if err != nil {
 		fail("topo", err)
 	}
@@ -68,24 +71,8 @@ func topoCmd(args []string) {
 		}
 	}
 
-	switch *kind {
-	case "comm2":
-		design, err = sys.CommAwareDesign(profile, 2)
-	case "comm4":
-		design, err = sys.CommAwareDesign(profile, 4)
-	case "dist2":
-		design, err = sys.DistanceDesign([]int{*n / 2, *n - 1 - *n/2}, power.UniformWeighting(2))
-	case "dist4":
-		q := *n / 4
-		design, err = sys.DistanceDesign([]int{q, q, q, *n - 1 - 3*q}, power.UniformWeighting(4))
-	case "cluster":
-		design, err = sys.ClusteredDesign(4)
-	case "broadcast":
-		design, err = sys.BroadcastDesign()
-	default:
-		fail("topo", fmt.Errorf("unknown kind %q", *kind))
-	}
-	if err != nil {
+	// The kind's design is built from the (optionally mapped) profile.
+	if design, err = sys.Design(spec.OnProfile(), profile); err != nil {
 		fail("topo", err)
 	}
 

@@ -53,7 +53,7 @@ func main() {
 		}
 	}
 
-	base, err := sys.BroadcastDesign()
+	base, err := sys.Design(core.Base, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	custom, err := sys.CommAwareDesign(coreTraffic, 2)
+	custom, err := sys.Design(core.Comm2.OnProfile(), coreTraffic)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -14,7 +14,6 @@ import (
 	"log"
 
 	"mnoc/internal/core"
-	"mnoc/internal/power"
 	"mnoc/internal/trace"
 )
 
@@ -25,16 +24,15 @@ func main() {
 		log.Fatal(err)
 	}
 
-	dist2, err := sys.DistanceDesign([]int{n / 2, n - 1 - n/2}, power.UniformWeighting(2))
+	dist2, err := sys.Design(core.Dist2, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	q := n / 4
-	dist4, err := sys.DistanceDesign([]int{q, q, q, n - 1 - 3*q}, power.UniformWeighting(4))
+	dist4, err := sys.Design(core.Dist4, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	base, err := sys.BroadcastDesign()
+	base, err := sys.Design(core.Base, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -60,7 +58,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		ca, err := sys.CommAwareDesign(mappedTraffic, 4)
+		ca, err := sys.Design(core.Comm4.OnProfile(), mappedTraffic)
 		if err != nil {
 			log.Fatal(err)
 		}

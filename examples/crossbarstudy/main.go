@@ -61,7 +61,7 @@ func main() {
 }
 
 func evaluatePower(sys *core.System, mwsr *power.MWSRNoC, profile *trace.Matrix) (swmrW, ptW, mwsrW float64) {
-	base, err := sys.BroadcastDesign()
+	base, err := sys.Design(core.Base, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func evaluatePower(sys *core.System, mwsr *power.MWSRNoC, profile *trace.Matrix)
 	if err != nil {
 		log.Fatal(err)
 	}
-	pt, err := sys.CommAwareDesign(coreTraffic, 2)
+	pt, err := sys.Design(core.Comm2.OnProfile(), coreTraffic)
 	if err != nil {
 		log.Fatal(err)
 	}

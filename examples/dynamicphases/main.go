@@ -15,10 +15,10 @@ import (
 	"log"
 	"strings"
 
+	"mnoc/internal/core"
 	"mnoc/internal/dynamic"
 	"mnoc/internal/mapping"
 	"mnoc/internal/power"
-	"mnoc/internal/topo"
 	"mnoc/internal/workload"
 )
 
@@ -27,12 +27,7 @@ func main() {
 
 	// A 2-mode distance-based power topology (the paper's simplest
 	// deployable design) carries the traffic.
-	cfg := power.DefaultConfig(n)
-	tp, err := topo.DistanceBased(n, []int{n / 2, n - 1 - n/2})
-	if err != nil {
-		log.Fatal(err)
-	}
-	net, err := power.NewMNoC(cfg, tp, power.UniformWeighting(2))
+	net, err := core.Dist2.Network(power.DefaultConfig(n), nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -27,7 +27,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	base, err := sys.BroadcastDesign()
+	base, err := sys.Design(core.Base, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

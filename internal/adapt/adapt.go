@@ -171,8 +171,8 @@ type Config struct {
 	// Power is the device configuration (zero value =
 	// power.DefaultConfig(N)).
 	Power power.Config
-	// Topology is the power topology to design over (nil = 2-mode
-	// distance-based halves partition, the paper's 2M_D shape).
+	// Topology is the power topology to design over (nil = the
+	// registry's 2-mode distance-based design, core.Dist2).
 	Topology *topo.Topology
 	// Faults optionally injects a fault schedule: the loss estimator
 	// checks each packet's deliverability against the active design's
@@ -235,9 +235,4 @@ func (d *Design) EvaluatePower(m *trace.Matrix, cycles float64) (power.Breakdown
 		return power.Breakdown{}, fmt.Errorf("adapt: evaluating gen %d: %w", d.Gen, err)
 	}
 	return b, nil
-}
-
-// defaultTopology is the 2-mode distance-based halves partition.
-func defaultTopology(n int) (*topo.Topology, error) {
-	return topo.DistanceBased(n, []int{n / 2, n - 1 - n/2})
 }

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mnoc/internal/core"
 	"mnoc/internal/fault"
 	"mnoc/internal/mapping"
 	"mnoc/internal/phys"
@@ -126,7 +127,7 @@ func NewController(cfg Config) (*Controller, error) {
 		return nil, err
 	}
 	if cfg.Topology == nil {
-		t, err := defaultTopology(cfg.N)
+		t, err := core.Dist2.Topology(cfg.Power, nil)
 		if err != nil {
 			return nil, fmt.Errorf("adapt: default topology: %w", err)
 		}

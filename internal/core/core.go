@@ -5,15 +5,21 @@
 // through this package; the paper's whole pipeline is:
 //
 //	sys, _ := core.NewSystem(256)
-//	profile, _ := sys.Profile("water_s", 1)          // traffic matrix
-//	des, _ := sys.CommAwareDesign(profile, 4)        // power topology
-//	des, _ = des.WithQAPMapping(profile, 1)          // thread mapping
-//	bd, _ := des.Power(profile, 1e6)                 // breakdown, µW
+//	profile, _ := sys.Profile("water_s", 1)                  // traffic matrix
+//	base, _ := sys.Design(core.Base, nil)                    // broadcast mNoC
+//	base, _ = base.WithQAPMapping(profile, core.QAPOptions{}) // thread mapping
+//	mapped, _ := base.MappedTraffic(profile)
+//	spec := core.Comm4.OnProfile()                           // 4M_G on this profile
+//	des, _ := sys.Design(spec, mapped)                       // power topology
+//	des, _ = des.WithMapping(base.Mapping)
+//	bd, _ := des.Power(profile, core.ProfileCycles)          // breakdown, µW
+//
+// Every design is a Spec (spec.go): a family, a mode count and a
+// weighting, named in the paper's Table 5 grammar. The kind table maps
+// the served kind names (base, dist2, comm4, ...) onto specs.
 package core
 
 import (
-	"fmt"
-
 	"mnoc/internal/drivetable"
 	"mnoc/internal/mapping"
 	"mnoc/internal/power"
@@ -76,58 +82,16 @@ type Design struct {
 	Mapping mapping.Assignment
 }
 
-func (s *System) finish(t *topo.Topology, w power.Weighting) (*Design, error) {
-	net, err := power.NewMNoC(s.Cfg, t, w)
+// Design builds the spec's power topology and splitter designs with
+// the identity thread mapping. profile is the (core-indexed) traffic a
+// CommAware spec partitions by and a sampled weighting weights by; the
+// other specs ignore it, and may get nil.
+func (s *System) Design(spec Spec, profile *trace.Matrix) (*Design, error) {
+	net, err := spec.Network(s.Cfg, profile)
 	if err != nil {
 		return nil, err
 	}
-	return &Design{sys: s, Topology: t, Network: net, Mapping: mapping.Identity(s.N())}, nil
-}
-
-// BroadcastDesign is the base mNoC: one power mode reaching everyone.
-func (s *System) BroadcastDesign() (*Design, error) {
-	return s.finish(topo.SingleMode(s.N()), power.UniformWeighting(1))
-}
-
-// ClusteredDesign maps a conventional clustered topology (Fig. 5a) onto
-// two power modes.
-func (s *System) ClusteredDesign(clusterSize int) (*Design, error) {
-	t, err := topo.Clustered(s.N(), clusterSize)
-	if err != nil {
-		return nil, err
-	}
-	return s.finish(t, power.UniformWeighting(2))
-}
-
-// DistanceDesign builds the naive distance-based topology (Fig. 5b /
-// Section 5.2) with the given nearest-group sizes and design weighting.
-func (s *System) DistanceDesign(groupSizes []int, w power.Weighting) (*Design, error) {
-	t, err := topo.DistanceBased(s.N(), groupSizes)
-	if err != nil {
-		return nil, err
-	}
-	return s.finish(t, w)
-}
-
-// CommAwareDesign builds the communication-aware topology of Section
-// 4.3 from a profiled traffic matrix: the exact binary-partition sweep
-// for 2 modes, the paper's best manual partition for 4.
-func (s *System) CommAwareDesign(profile *trace.Matrix, modes int) (*Design, error) {
-	var t *topo.Topology
-	var err error
-	switch modes {
-	case 2:
-		t, err = topo.CommAware2Mode(profile, s.Cfg.Splitter, "2M_G")
-	case 4:
-		t, err = topo.BestScoredPartition(profile, s.Cfg.Splitter,
-			topo.CandidatePartitions4(s.N()), "4M_G")
-	default:
-		return nil, fmt.Errorf("core: communication-aware designs support 2 or 4 modes, got %d", modes)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return s.finish(t, power.SampledWeighting(profile))
+	return &Design{sys: s, Topology: net.Topology, Network: net, Mapping: mapping.Identity(s.N())}, nil
 }
 
 // QAPOptions tunes WithQAPMapping.

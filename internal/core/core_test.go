@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"mnoc/internal/mapping"
-	"mnoc/internal/power"
 )
 
 func TestNewSystem(t *testing.T) {
@@ -30,7 +29,7 @@ func TestProfileCalibratesToTable4(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := s.BroadcastDesign()
+	d, err := s.Design(Base, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,11 +64,11 @@ func TestDesignLadder(t *testing.T) {
 		return b.TotalWatts()
 	}
 
-	base, err := s.BroadcastDesign()
+	base, err := s.Design(Base, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist, err := s.DistanceDesign([]int{32, 31}, power.UniformWeighting(2))
+	dist, err := s.Design(Dist2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +80,7 @@ func TestDesignLadder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ca, err := s.CommAwareDesign(mapped, 2)
+	ca, err := s.Design(Comm2.OnProfile(), mapped)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,15 +106,22 @@ func TestClusteredDesign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := s.ClusteredDesign(4)
+	d, err := s.Design(Cluster2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d.Topology.Modes != 2 {
 		t.Errorf("modes = %d", d.Topology.Modes)
 	}
-	if _, err := s.ClusteredDesign(3); err == nil {
-		t.Error("bad cluster size accepted")
+	if _, err := s.Design(Spec{Family: Clustered, Modes: 3}, nil); err == nil {
+		t.Error("3-mode clustered design accepted")
+	}
+	odd, err := NewSystem(18)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := odd.Design(Cluster2, nil); err == nil {
+		t.Error("clusters of 4 accepted on 18 nodes")
 	}
 }
 
@@ -128,10 +134,13 @@ func TestCommAwareDesignRejectsOtherModeCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.CommAwareDesign(m, 3); err == nil {
+	if _, err := s.Design(Spec{Family: CommAware, Modes: 3, Weighting: Profiled}, m); err == nil {
 		t.Error("3-mode comm-aware accepted")
 	}
-	if _, err := s.CommAwareDesign(m, 4); err != nil {
+	if _, err := s.Design(Comm4.OnProfile(), nil); err == nil {
+		t.Error("comm-aware design without a profile accepted")
+	}
+	if _, err := s.Design(Comm4.OnProfile(), m); err != nil {
 		t.Errorf("4-mode failed: %v", err)
 	}
 }
@@ -141,7 +150,7 @@ func TestWithMappingValidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := s.BroadcastDesign()
+	d, err := s.Design(Base, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +178,7 @@ func TestDriveTableExport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := s.CommAwareDesign(m, 2)
+	d, err := s.Design(Comm2.OnProfile(), m)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,70 +3,28 @@ package exp
 import (
 	"context"
 	"fmt"
-	"sort"
 
+	"mnoc/internal/core"
 	"mnoc/internal/power"
-	"mnoc/internal/topo"
-	"mnoc/internal/workload"
 )
 
-// Design kinds accepted by DesignNetwork. Each names one of the
-// paper's evaluated power-topology families and maps onto the exact
-// artifact-cache key the figure experiments use, so a server solve and
-// a bench run share cached networks.
-const (
-	DesignBase     = "base"     // single-mode full-broadcast mNoC
-	DesignDist2    = "dist2"    // 2-mode distance-based (Fig. 8 "2M_N_U")
-	DesignDist4    = "dist4"    // 4-mode distance-based (Fig. 8 "4M_N_U")
-	DesignCluster2 = "cluster2" // 2-mode clustered (Fig. 8 "2M_C_U")
-	DesignComm2    = "comm2"    // 2-mode communication-aware, S12 sample (Fig. 9 "2M_G_S12")
-	DesignComm4    = "comm4"    // 4-mode communication-aware, S12 sample — the paper's best (Fig. 9/10 "4M_G_S12")
-)
+// DesignBase is the broadcast base's design kind.
+const DesignBase = core.KindBase
 
-// DesignKinds lists the accepted design kinds, sorted.
-func DesignKinds() []string {
-	kinds := []string{DesignBase, DesignDist2, DesignDist4, DesignCluster2, DesignComm2, DesignComm4}
-	sort.Strings(kinds)
-	return kinds
-}
+// DesignKinds lists the design kinds DesignNetwork accepts: the
+// registry's kind table (core.KindSpec), sorted.
+func DesignKinds() []string { return core.Kinds() }
 
 // DesignNetwork builds (or loads from the artifact cache) the named
 // power-topology design at the context's scale. The kind names reuse
 // the figure experiments' cache keys, so a network solved here is a
 // warm hit for `mnoc bench` and vice versa.
 func (c *Context) DesignNetwork(ctx context.Context, kind string) (*power.MNoC, error) {
-	n := c.Opt.N
-	switch kind {
-	case DesignBase:
-		return c.base, nil
-	case DesignDist2:
-		return distanceNet(ctx, c, "2M_N_U", halves(n), power.UniformWeighting(2))
-	case DesignDist4:
-		return distanceNet(ctx, c, "4M_N_U", quarters(n), power.UniformWeighting(4))
-	case DesignCluster2:
-		return c.network(ctx, "2M_C_U", func() (*power.MNoC, error) {
-			t, err := topo.Clustered(n, 4)
-			if err != nil {
-				return nil, err
-			}
-			return power.NewMNoC(c.Cfg, t, power.UniformWeighting(2))
-		})
-	case DesignComm2:
-		return c.network(ctx, "2M_G_S12", func() (*power.MNoC, error) {
-			s12, err := c.SampledMatrix(ctx, workload.Names())
-			if err != nil {
-				return nil, err
-			}
-			t, err := topo.CommAware2Mode(s12, c.Cfg.Splitter, "2M_G_S12")
-			if err != nil {
-				return nil, err
-			}
-			return power.NewMNoC(c.Cfg, t, power.SampledWeighting(s12))
-		})
-	case DesignComm4:
-		return c.bestPTNetwork(ctx)
+	spec, err := core.KindSpec(kind)
+	if err != nil {
+		return nil, fmt.Errorf("exp: %w", err)
 	}
-	return nil, fmt.Errorf("exp: unknown design kind %q (want one of %v)", kind, DesignKinds())
+	return c.specNetwork(ctx, spec)
 }
 
 // EvaluateDesign solves the named design and evaluates it on one

@@ -4,11 +4,11 @@ import (
 	"context"
 	"fmt"
 
+	"mnoc/internal/core"
 	"mnoc/internal/noc"
 	"mnoc/internal/phys"
 	"mnoc/internal/power"
 	"mnoc/internal/stats"
-	"mnoc/internal/topo"
 	"mnoc/internal/workload"
 )
 
@@ -21,7 +21,6 @@ import (
 // the source-power/O-E tradeoff of Observation 1 interacting with
 // power topologies.
 func DesignSpace(ctx context.Context, c *Context) (*Table, error) {
-	n := c.Opt.N
 	// Benchmarks with distinct shapes keep the sweep affordable.
 	benchNames := []string{"barnes", "ocean_c", "fft", "water_ns"}
 
@@ -42,16 +41,11 @@ func DesignSpace(ctx context.Context, c *Context) (*Table, error) {
 			return nil, fmt.Errorf("exp: designspace: base mNoC at mIOP %.0f: %w", miop, err)
 		}
 		for _, modes := range []int{1, 2, 4, 8} {
-			var net *power.MNoC
-			if modes == 1 {
-				net = base
-			} else {
-				groups := evenPartition(n, modes)
-				tp, err := topo.DistanceBased(n, groups)
-				if err != nil {
-					return nil, fmt.Errorf("exp: designspace: %d-mode topology: %w", modes, err)
-				}
-				if net, err = power.NewMNoC(cfg, tp, power.UniformWeighting(modes)); err != nil {
+			// The networks are built at this mIOP's cfg, so they never
+			// go through the context's artifact cache (keyed by c.Cfg).
+			net := base
+			if modes > 1 {
+				if net, err = (core.Spec{Family: core.Distance, Modes: modes}).Network(cfg, nil); err != nil {
 					return nil, fmt.Errorf("exp: designspace: %d-mode network: %w", modes, err)
 				}
 			}
@@ -87,20 +81,6 @@ func DesignSpace(ctx context.Context, c *Context) (*Table, error) {
 	return t, nil
 }
 
-// evenPartition splits n−1 destinations into `modes` near-equal groups.
-func evenPartition(n, modes int) []int {
-	groups := make([]int, modes)
-	base := (n - 1) / modes
-	rem := (n - 1) % modes
-	for i := range groups {
-		groups[i] = base
-		if i < rem {
-			groups[i]++
-		}
-	}
-	return groups
-}
-
 // TrimSweep varies the rNoC ring-trimming power from the paper's
 // deliberately favourable 20 µW/ring (Section 5.7: "to favor rNoC") up
 // to the 100 µW/ring end of the range the paper quotes for real thermal
@@ -109,7 +89,7 @@ func evenPartition(n, modes int) []int {
 // conservative end of this sweep.
 func TrimSweep(ctx context.Context, c *Context) (*Table, error) {
 	n := c.Opt.N
-	pt, err := c.bestPTNetwork(ctx)
+	pt, err := c.specNetwork(ctx, core.Comm4)
 	if err != nil {
 		return nil, err
 	}

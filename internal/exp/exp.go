@@ -17,6 +17,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mnoc/internal/core"
 	"mnoc/internal/mapping"
 	"mnoc/internal/power"
 	"mnoc/internal/runner/artifact"
@@ -474,12 +475,19 @@ func (c *Context) SampledMatrix(ctx context.Context, names []string) (*trace.Mat
 	return out, nil
 }
 
-// network caches splitter-designed networks. The string key names a
-// deterministic design point (e.g. "4M_G_S12"); combined with the
+// specNetwork returns a registry design at the context's scale. The
+// broadcast spec is the context's base network. Every other design is
+// cached under its Table 5 name (e.g. "4M_G_S12"): combined with the
 // options and configuration fingerprint folded in by c.key it content-
 // addresses the solved design, so warm runs skip the splitter solves.
-func (c *Context) network(ctx context.Context, key string, build func() (*power.MNoC, error)) (*power.MNoC, error) {
-	akey := c.key(artifact.KindNetwork, artifact.VersionNetwork).Str("design", key).Sum()
+// A sampled spec is designed from its S4 or S12 sample, built only on
+// a cache miss.
+func (c *Context) specNetwork(ctx context.Context, spec core.Spec) (*power.MNoC, error) {
+	if spec == core.Base {
+		return c.base, nil
+	}
+	name := spec.Name()
+	akey := c.key(artifact.KindNetwork, artifact.VersionNetwork).Str("design", name).Sum()
 	v, err := c.artifactValue(ctx, akey,
 		func(blob []byte) (any, error) {
 			n, err := artifact.DecodeNetwork(c.Cfg, blob)
@@ -492,8 +500,22 @@ func (c *Context) network(ctx context.Context, key string, build func() (*power.
 		func() (any, []byte, error) {
 			c.solveNetworks.Add(1)
 			c.noteSolve("networks")
-			defer c.tracer.StartSpan("exp", "solve.network").Attr("design", key).End()
-			n, err := build()
+			defer c.tracer.StartSpan("exp", "solve.network").Attr("design", name).End()
+			var sample *trace.Matrix
+			var err error
+			switch spec.Weighting {
+			case core.Uniform:
+			case core.S4:
+				sample, err = c.SampledMatrix(ctx, workload.SampleS4)
+			case core.S12:
+				sample, err = c.SampledMatrix(ctx, workload.Names())
+			default:
+				err = fmt.Errorf("exp: %s has no sample set", name)
+			}
+			if err != nil {
+				return nil, nil, err
+			}
+			n, err := spec.Network(c.Cfg, sample)
 			if err != nil {
 				return nil, nil, err
 			}

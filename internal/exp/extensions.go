@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"mnoc/internal/coherence"
+	"mnoc/internal/core"
 	"mnoc/internal/dynamic"
 	"mnoc/internal/joint"
 	"mnoc/internal/mapping"
@@ -15,7 +16,6 @@ import (
 	"mnoc/internal/sim"
 	"mnoc/internal/splitter"
 	"mnoc/internal/stats"
-	"mnoc/internal/topo"
 	"mnoc/internal/variation"
 	"mnoc/internal/workload"
 )
@@ -55,19 +55,15 @@ func ExtensionByID(id string) (Entry, error) {
 // against the distance-based design the paper recommends instead,
 // quantifying the waveguide/power-topology mismatch.
 func Conventional(ctx context.Context, c *Context) (*Table, error) {
-	n := c.Opt.N
-	builders := []struct {
-		name  string
-		build func() (*topo.Topology, error)
+	designs := []struct {
+		name string
+		spec core.Spec
 	}{
-		{"clustered4", func() (*topo.Topology, error) { return topo.Clustered(n, 4) }},
-		{"tree4", func() (*topo.Topology, error) { return topo.Tree(n, 4, 4) }},
-		{"hypercube", func() (*topo.Topology, error) { return topo.Hypercube(n) }},
-		{"mesh", func() (*topo.Topology, error) {
-			r, ccols := meshDims(n)
-			return topo.Mesh2D(r, ccols, 4)
-		}},
-		{"distance4", func() (*topo.Topology, error) { return topo.DistanceBased(n, quarters(n)) }},
+		{"clustered4", core.Cluster2},
+		{"tree4", core.Spec{Family: core.Tree, Modes: 4}},
+		{"hypercube", core.Spec{Family: core.Hypercube}},
+		{"mesh", core.Spec{Family: core.Mesh, Modes: 4}},
+		{"distance4", core.Dist4},
 	}
 	t := &Table{
 		ID:     "conventional",
@@ -79,14 +75,10 @@ func Conventional(ctx context.Context, c *Context) (*Table, error) {
 			"distance-based design should win",
 		},
 	}
-	for _, b := range builders {
-		tp, err := b.build()
+	for _, d := range designs {
+		net, err := d.spec.Network(c.Cfg, nil)
 		if err != nil {
-			return nil, err
-		}
-		net, err := power.NewMNoC(c.Cfg, tp, power.UniformWeighting(tp.Modes))
-		if err != nil {
-			return nil, fmt.Errorf("exp: conventional: %s network: %w", b.name, err)
+			return nil, fmt.Errorf("exp: conventional: %s network: %w", d.name, err)
 		}
 		var vals []float64
 		for _, bench := range c.Benchmarks() {
@@ -106,22 +98,11 @@ func Conventional(ctx context.Context, c *Context) (*Table, error) {
 		}
 		h, err := stats.HarmonicMean(vals)
 		if err != nil {
-			return nil, fmt.Errorf("exp: conventional: %s mean: %w", b.name, err)
+			return nil, fmt.Errorf("exp: conventional: %s mean: %w", d.name, err)
 		}
-		t.Rows = append(t.Rows, []string{b.name, fmt.Sprintf("%d", tp.Modes), f3(h)})
+		t.Rows = append(t.Rows, []string{d.name, fmt.Sprintf("%d", net.Topology.Modes), f3(h)})
 	}
 	return t, nil
-}
-
-func meshDims(n int) (int, int) {
-	r := 1
-	for r*r < n {
-		r *= 2
-	}
-	for n%r != 0 {
-		r /= 2
-	}
-	return r, n / r
 }
 
 // Joint evaluates the joint mapping+topology optimisation against the
@@ -184,11 +165,9 @@ func Dynamic(ctx context.Context, c *Context) (*Table, error) {
 	for i := range tr.Packets {
 		tr.Packets[i].Flits *= 16 // cache-line bursts
 	}
-	tp, err := topo.DistanceBased(n, halves(n))
-	if err != nil {
-		return nil, fmt.Errorf("exp: dynamic: topology: %w", err)
-	}
-	net, err := power.NewMNoC(c.Cfg, tp, power.UniformWeighting(2))
+	// dynamic.Run only reads the network, so the cached design is safe
+	// to share.
+	net, err := c.specNetwork(ctx, core.Dist2)
 	if err != nil {
 		return nil, fmt.Errorf("exp: dynamic: network: %w", err)
 	}
@@ -284,7 +263,7 @@ func MWSRCompare(ctx context.Context, c *Context) (*Table, error) {
 	if err != nil {
 		return nil, fmt.Errorf("exp: mwsr: network model: %w", err)
 	}
-	pt, err := c.bestPTNetwork(ctx)
+	pt, err := c.specNetwork(ctx, core.Comm4)
 	if err != nil {
 		return nil, err
 	}
@@ -542,7 +521,7 @@ func AlphaGrid(ctx context.Context, c *Context) (*Table, error) {
 	}
 	base := phys.MicroWatts(0)
 	for _, g := range grids {
-		alphas := coordinateDescent(costs, weights, g.steps)
+		alphas := splitter.DescendAlphas(costs, weights, g.steps)
 		v := splitter.WeightedPowerForAlphas(costs, alphas, weights)
 		if base == 0 {
 			base = v
@@ -558,34 +537,4 @@ func abs(v int) int {
 		return -v
 	}
 	return v
-}
-
-// coordinateDescent mirrors splitter.OptimalAlphas but with a custom
-// step schedule, for the ablation.
-func coordinateDescent(costs []phys.MicroWatts, weights, steps []float64) []float64 {
-	m := len(costs)
-	alphas := make([]float64, m)
-	for i := range alphas {
-		alphas[i] = 1
-	}
-	for _, step := range steps {
-		for iter := 0; iter < 4; iter++ {
-			for k := 1; k < m; k++ {
-				best, bestV := alphas[k], splitter.WeightedPowerForAlphas(costs, alphas, weights)
-				for v := step; v <= 1.0+1e-9; v += step {
-					alphas[k] = v
-					if obj := splitter.WeightedPowerForAlphas(costs, alphas, weights); obj < bestV {
-						best, bestV = v, obj
-					}
-				}
-				alphas[k] = best
-			}
-		}
-	}
-	for k := 1; k < m; k++ {
-		if alphas[k] > alphas[k-1] {
-			alphas[k] = alphas[k-1]
-		}
-	}
-	return alphas
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"mnoc/internal/core"
 	"mnoc/internal/device"
 	"mnoc/internal/noc"
 	"mnoc/internal/phys"
@@ -12,7 +13,6 @@ import (
 	"mnoc/internal/runner/artifact"
 	"mnoc/internal/sim"
 	"mnoc/internal/splitter"
-	"mnoc/internal/topo"
 	"mnoc/internal/waveguide"
 	"mnoc/internal/workload"
 )
@@ -98,24 +98,6 @@ func (c *Context) Performance(ctx context.Context, bench string) (mnocCycles, rn
 	return r.mnocCycles, r.rnocCycles, nil
 }
 
-// bestPTNetwork builds the paper's best overall design, 4M_T_G_S12: a
-// 4-mode communication-aware topology from the 12-benchmark sample with
-// sampled splitter weights.
-func (c *Context) bestPTNetwork(ctx context.Context) (*power.MNoC, error) {
-	return c.network(ctx, "4M_G_S12", func() (*power.MNoC, error) {
-		s12, err := c.SampledMatrix(ctx, workload.Names())
-		if err != nil {
-			return nil, err
-		}
-		t, err := topo.BestScoredPartition(s12, c.Cfg.Splitter,
-			topo.CandidatePartitions4(c.Opt.N), "4M_G_S12")
-		if err != nil {
-			return nil, err
-		}
-		return power.NewMNoC(c.Cfg, t, power.SampledWeighting(s12))
-	})
-}
-
 // Fig10 reproduces Figure 10: total NoC energy relative to rNoC for the
 // base mNoC, the clustered c_mNoC, and the best power-topology mNoC
 // (PT_mNoC = 4M_T_G_S12), with the component breakdown.
@@ -129,7 +111,7 @@ func Fig10(ctx context.Context, c *Context) (*Table, error) {
 	if err != nil {
 		return nil, fmt.Errorf("exp: fig10: c_mNoC model: %w", err)
 	}
-	pt, err := c.bestPTNetwork(ctx)
+	pt, err := c.specNetwork(ctx, core.Comm4)
 	if err != nil {
 		return nil, err
 	}

@@ -3,7 +3,9 @@ package exp
 import (
 	"context"
 	"fmt"
+	"strings"
 
+	"mnoc/internal/core"
 	"mnoc/internal/power"
 	"mnoc/internal/stats"
 	"mnoc/internal/topo"
@@ -11,34 +13,23 @@ import (
 	"mnoc/internal/workload"
 )
 
-// designSpec names one evaluated design point (Table 5 notation).
+// designSpec is one evaluated column: a registry design, on naive or
+// QAP-mapped traffic.
 type designSpec struct {
-	name string
+	spec core.Spec
 	// mapped selects QAP-mapped (T) vs naive traffic.
 	mapped bool
-	// build returns the splitter-designed network for this spec.
-	build func(ctx context.Context, c *Context) (*power.MNoC, error)
 }
 
-// halves returns the 2-mode distance partition (the paper's "128
-// closest destinations") scaled to n.
-func halves(n int) []int { return []int{n / 2, n - 1 - n/2} }
-
-// quarters returns the 4-mode distance partition ("groups of 64 nearest
-// nodes") scaled to n.
-func quarters(n int) []int {
-	q := n / 4
-	return []int{q, q, q, n - 1 - 3*q}
-}
-
-func distanceNet(ctx context.Context, c *Context, key string, groups []int, w power.Weighting) (*power.MNoC, error) {
-	return c.network(ctx, key, func() (*power.MNoC, error) {
-		t, err := topo.DistanceBased(c.Opt.N, groups)
-		if err != nil {
-			return nil, err
-		}
-		return power.NewMNoC(c.Cfg, t, w)
-	})
+// name is the column's Table 5 name: the spec's, with T after the mode
+// count when the traffic is QAP-mapped ("2M_T_N_U").
+func (s designSpec) name() string {
+	name := s.spec.Name()
+	if !s.mapped {
+		return name
+	}
+	i := strings.IndexByte(name, 'M') + 1
+	return name[:i] + "_T" + name[i:]
 }
 
 // evaluateSpecs runs every spec over every benchmark and returns a table
@@ -48,9 +39,9 @@ func evaluateSpecs(ctx context.Context, c *Context, id, title string, specs []de
 	t := &Table{ID: id, Title: title}
 	t.Header = []string{"benchmark"}
 	for _, s := range specs {
-		t.Header = append(t.Header, s.name)
+		t.Header = append(t.Header, s.name())
 	}
-	norm := make(map[string][]float64, len(specs)) // spec → per-bench normalized
+	norm := make([][]float64, len(specs)) // per spec, per-bench normalized
 
 	for _, b := range c.Benchmarks() {
 		naive, err := c.Shape(ctx, b.Name)
@@ -62,8 +53,8 @@ func evaluateSpecs(ctx context.Context, c *Context, id, title string, specs []de
 			return nil, err
 		}
 		row := []string{b.Name}
-		for _, s := range specs {
-			net, err := s.build(ctx, c)
+		for i, s := range specs {
+			net, err := c.specNetwork(ctx, s.spec)
 			if err != nil {
 				return nil, err
 			}
@@ -78,15 +69,15 @@ func evaluateSpecs(ctx context.Context, c *Context, id, title string, specs []de
 				return nil, err
 			}
 			v := w / baseW
-			norm[s.name] = append(norm[s.name], v)
+			norm[i] = append(norm[i], v)
 			row = append(row, f3(v))
 		}
 		t.Rows = append(t.Rows, row)
 	}
 
 	hrow := []string{"hmean"}
-	for _, s := range specs {
-		h, err := stats.HarmonicMean(norm[s.name])
+	for i := range specs {
+		h, err := stats.HarmonicMean(norm[i])
 		if err != nil {
 			return nil, err
 		}
@@ -100,32 +91,11 @@ func evaluateSpecs(ctx context.Context, c *Context, id, title string, specs []de
 // Fig8 reproduces Figure 8: distance-based power topologies with and
 // without QAP thread mapping, normalized to the single-mode base mNoC.
 func Fig8(ctx context.Context, c *Context) (*Table, error) {
-	n := c.Opt.N
-	u2, u4 := power.UniformWeighting(2), power.UniformWeighting(4)
 	specs := []designSpec{
-		{"1M", false, func(context.Context, *Context) (*power.MNoC, error) { return c.base, nil }},
-		{"1M_T", true, func(context.Context, *Context) (*power.MNoC, error) { return c.base, nil }},
-		{"2M_N_U", false, func(ctx context.Context, c *Context) (*power.MNoC, error) {
-			return distanceNet(ctx, c, "2M_N_U", halves(n), u2)
-		}},
-		{"2M_T_N_U", true, func(ctx context.Context, c *Context) (*power.MNoC, error) {
-			return distanceNet(ctx, c, "2M_N_U", halves(n), u2)
-		}},
-		{"4M_N_U", false, func(ctx context.Context, c *Context) (*power.MNoC, error) {
-			return distanceNet(ctx, c, "4M_N_U", quarters(n), u4)
-		}},
-		{"4M_T_N_U", true, func(ctx context.Context, c *Context) (*power.MNoC, error) {
-			return distanceNet(ctx, c, "4M_N_U", quarters(n), u4)
-		}},
-		{"2M_C_U", false, func(ctx context.Context, c *Context) (*power.MNoC, error) {
-			return c.network(ctx, "2M_C_U", func() (*power.MNoC, error) {
-				t, err := topo.Clustered(n, 4)
-				if err != nil {
-					return nil, err
-				}
-				return power.NewMNoC(c.Cfg, t, u2)
-			})
-		}},
+		{core.Base, false}, {core.Base, true},
+		{core.Dist2, false}, {core.Dist2, true},
+		{core.Dist4, false}, {core.Dist4, true},
+		{core.Cluster2, false},
 	}
 	return evaluateSpecs(ctx, c, "fig8",
 		"Distance-based power topologies ± QAP thread mapping (normalized mNoC power)",
@@ -141,47 +111,13 @@ func Fig8(ctx context.Context, c *Context) (*Table, error) {
 // radix, raytrace, water_s; S12 = all benchmarks), all with QAP
 // mapping.
 func Fig9(ctx context.Context, c *Context) (*Table, error) {
-	n := c.Opt.N
-	s4, err := c.SampledMatrix(ctx, workload.SampleS4)
-	if err != nil {
-		return nil, err
-	}
-	s12, err := c.SampledMatrix(ctx, workload.Names())
-	if err != nil {
-		return nil, err
-	}
-	commAwareNet := func(key string, sample *trace.Matrix, modes int) func(context.Context, *Context) (*power.MNoC, error) {
-		return func(ctx context.Context, c *Context) (*power.MNoC, error) {
-			return c.network(ctx, key, func() (*power.MNoC, error) {
-				var t *topo.Topology
-				var err error
-				if modes == 2 {
-					t, err = topo.CommAware2Mode(sample, c.Cfg.Splitter, key)
-				} else {
-					t, err = topo.BestScoredPartition(sample, c.Cfg.Splitter,
-						topo.CandidatePartitions4(n), key)
-				}
-				if err != nil {
-					return nil, err
-				}
-				return power.NewMNoC(c.Cfg, t, power.SampledWeighting(sample))
-			})
+	var specs []designSpec
+	for _, modes := range []int{2, 4} {
+		for _, w := range []core.Weighting{core.S4, core.S12} {
+			for _, f := range []core.Family{core.Distance, core.CommAware} {
+				specs = append(specs, designSpec{core.Spec{Family: f, Modes: modes, Weighting: w}, true})
+			}
 		}
-	}
-	distSampledNet := func(key string, sample *trace.Matrix, groups []int) func(context.Context, *Context) (*power.MNoC, error) {
-		return func(ctx context.Context, c *Context) (*power.MNoC, error) {
-			return distanceNet(ctx, c, key, groups, power.SampledWeighting(sample))
-		}
-	}
-	specs := []designSpec{
-		{"2M_T_N_S4", true, distSampledNet("2M_N_S4", s4, halves(n))},
-		{"2M_T_G_S4", true, commAwareNet("2M_G_S4", s4, 2)},
-		{"2M_T_N_S12", true, distSampledNet("2M_N_S12", s12, halves(n))},
-		{"2M_T_G_S12", true, commAwareNet("2M_G_S12", s12, 2)},
-		{"4M_T_N_S4", true, distSampledNet("4M_N_S4", s4, quarters(n))},
-		{"4M_T_G_S4", true, commAwareNet("4M_G_S4", s4, 4)},
-		{"4M_T_N_S12", true, distSampledNet("4M_N_S12", s12, quarters(n))},
-		{"4M_T_G_S12", true, commAwareNet("4M_G_S12", s12, 4)},
 	}
 	return evaluateSpecs(ctx, c, "fig9",
 		"Communication-aware vs distance-based mode assignment (normalized mNoC power)",
@@ -217,16 +153,18 @@ func AppSpecific(ctx context.Context, c *Context) (*Table, error) {
 		}
 		row := []string{b.Name}
 		for _, modes := range []int{2, 4} {
-			var tp *topo.Topology
+			var net *power.MNoC
 			if modes == 2 {
-				tp, err = topo.CommAware2Mode(mapped, c.Cfg.Splitter, "C2_"+b.Name)
+				net, err = core.Comm2.OnProfile().Network(c.Cfg, mapped)
 			} else {
+				// Section 5.5's 4-mode designs use the paper's fixed manual
+				// partition, not the registry's scored candidate search.
+				var tp *topo.Topology
 				tp, err = topo.CommAware(mapped, topo.ScalePartition(topo.Paper4ModePartition, c.Opt.N), "C4_"+b.Name)
+				if err == nil {
+					net, err = power.NewMNoC(c.Cfg, tp, power.SampledWeighting(mapped))
+				}
 			}
-			if err != nil {
-				return nil, fmt.Errorf("exp: comm-aware %d-mode topology for %s: %w", modes, b.Name, err)
-			}
-			net, err := power.NewMNoC(c.Cfg, tp, power.SampledWeighting(mapped))
 			if err != nil {
 				return nil, fmt.Errorf("exp: comm-aware %d-mode network for %s: %w", modes, b.Name, err)
 			}
@@ -303,7 +241,7 @@ func Sensitivity(ctx context.Context, c *Context) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			tp, err := topo.CommAware2Mode(mapped, c.Cfg.Splitter, "sens_"+b.Name)
+			tp, err := core.Comm2.OnProfile().Topology(c.Cfg, mapped)
 			if err != nil {
 				return nil, fmt.Errorf("exp: sensitivity topology for %s: %w", b.Name, err)
 			}

@@ -5,11 +5,11 @@ import (
 	"fmt"
 	"strings"
 
+	"mnoc/internal/core"
 	"mnoc/internal/phys"
 	"mnoc/internal/power"
 	"mnoc/internal/splitter"
 	"mnoc/internal/stats"
-	"mnoc/internal/topo"
 	"mnoc/internal/trace"
 )
 
@@ -119,11 +119,12 @@ func Fig5(ctx context.Context, c *Context) (*Table, error) {
 		ID:    "fig5",
 		Title: "Example power topologies (8 nodes)",
 	}
-	clustered, err := topo.Clustered(8, 4)
+	cfg8 := power.DefaultConfig(8)
+	clustered, err := core.Cluster2.Topology(cfg8, nil)
 	if err != nil {
 		return nil, fmt.Errorf("exp: fig5: clustered topology: %w", err)
 	}
-	distance, err := topo.DistanceBased(8, []int{2, 2, 2, 1})
+	distance, err := core.Dist4.Topology(cfg8, nil)
 	if err != nil {
 		return nil, fmt.Errorf("exp: fig5: distance topology: %w", err)
 	}
@@ -243,7 +244,7 @@ func Fig7(ctx context.Context, c *Context) (*Table, error) {
 		return nil, err
 	}
 	lowModeMatrix := func(m *trace.Matrix) ([][]float64, error) {
-		tp, err := topo.CommAware2Mode(m, c.Cfg.Splitter, "fig7")
+		tp, err := core.Comm2.OnProfile().Topology(c.Cfg, m)
 		if err != nil {
 			return nil, err
 		}

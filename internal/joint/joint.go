@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"mnoc/internal/core"
 	"mnoc/internal/mapping"
 	"mnoc/internal/power"
 	"mnoc/internal/topo"
@@ -112,31 +113,27 @@ func Optimize(cfg power.Config, profile *trace.Matrix, opt Options) (*Result, er
 	})
 
 	res := &Result{}
-	evaluate := func(a mapping.Assignment) (float64, *topo.Topology, *power.MNoC, error) {
+	evaluate := func(a mapping.Assignment) (float64, *power.MNoC, error) {
 		mapped, err := profile.Permute(a)
 		if err != nil {
-			return 0, nil, nil, err
+			return 0, nil, err
 		}
-		t, err := designFor(cfg, mapped, opt)
+		net, err := opt.spec().Network(cfg, mapped)
 		if err != nil {
-			return 0, nil, nil, err
-		}
-		net, err := power.NewMNoC(cfg, t, power.SampledWeighting(mapped))
-		if err != nil {
-			return 0, nil, nil, err
+			return 0, nil, err
 		}
 		b, err := net.Evaluate(mapped, opt.Cycles)
 		if err != nil {
-			return 0, nil, nil, err
+			return 0, nil, err
 		}
-		return b.TotalWatts(), t, net, nil
+		return b.TotalWatts(), net, nil
 	}
 
-	bestW, t, net, err := evaluate(asg)
+	bestW, net, err := evaluate(asg)
 	if err != nil {
 		return nil, err
 	}
-	res.Topology, res.Network = t, net
+	res.Topology, res.Network = net.Topology, net
 	res.Mapping = append(mapping.Assignment(nil), asg...)
 	res.PowerTrailW = append(res.PowerTrailW, bestW)
 
@@ -161,13 +158,13 @@ func Optimize(cfg power.Config, profile *trace.Matrix, opt Options) (*Result, er
 		}
 		roundBest := bestW
 		for _, cand := range candidates {
-			w, t, net, err := evaluate(cand)
+			w, net, err := evaluate(cand)
 			if err != nil {
 				return nil, err
 			}
 			if w < bestW {
 				bestW = w
-				res.Topology, res.Network = t, net
+				res.Topology, res.Network = net.Topology, net
 				res.Mapping = append(mapping.Assignment(nil), cand...)
 			}
 			if w < roundBest {
@@ -183,22 +180,15 @@ func randomAssignment(n int, rng *rand.Rand) mapping.Assignment {
 	return mapping.Assignment(rng.Perm(n))
 }
 
-func designFor(cfg power.Config, mapped *trace.Matrix, opt Options) (*topo.Topology, error) {
-	switch opt.Family {
-	case Distance:
-		n := cfg.N
-		if opt.Modes == 2 {
-			return topo.DistanceBased(n, []int{n / 2, n - 1 - n/2})
-		}
-		q := n / 4
-		return topo.DistanceBased(n, []int{q, q, q, n - 1 - 3*q})
-	default:
-		if opt.Modes == 2 {
-			return topo.CommAware2Mode(mapped, cfg.Splitter, "joint2")
-		}
-		return topo.BestScoredPartition(mapped, cfg.Splitter,
-			topo.CandidatePartitions4(cfg.N), "joint4")
+// spec is the registry design each round builds: the family at the
+// option's mode count, weighted by the mapped traffic it is designed
+// for.
+func (o Options) spec() core.Spec {
+	f := core.CommAware
+	if o.Family == Distance {
+		f = core.Distance
 	}
+	return core.Spec{Family: f, Modes: o.Modes, Weighting: core.Profiled}
 }
 
 // modePowerCost builds the QAP cost matrix from a designed network: the

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 
+	"mnoc/internal/core"
 	"mnoc/internal/dynamic"
 	"mnoc/internal/fault"
 	"mnoc/internal/mapping"
@@ -14,7 +15,6 @@ import (
 	"mnoc/internal/runner/pool"
 	"mnoc/internal/stats"
 	"mnoc/internal/telemetry"
-	"mnoc/internal/topo"
 	"mnoc/internal/workload"
 )
 
@@ -58,11 +58,7 @@ func FaultSweep(ctx context.Context, store artifact.Store, workers int, fc Fault
 	if err := fc.Validate(); err != nil {
 		return nil, err
 	}
-	tp, err := topo.DistanceBased(fc.N, []int{fc.N / 2, fc.N - 1 - fc.N/2})
-	if err != nil {
-		return nil, fmt.Errorf("runner: fault sweep topology: %w", err)
-	}
-	net, err := power.NewMNoC(power.DefaultConfig(fc.N), tp, power.UniformWeighting(tp.Modes))
+	net, err := core.Dist2.Network(power.DefaultConfig(fc.N), nil)
 	if err != nil {
 		return nil, fmt.Errorf("runner: fault sweep network: %w", err)
 	}
@@ -106,7 +102,7 @@ func FaultSweep(ctx context.Context, store artifact.Store, workers int, fc Fault
 	res := &FaultSweepResult{
 		Config:  fc,
 		Bench:   b.Name,
-		Modes:   tp.Modes,
+		Modes:   net.Topology.Modes,
 		Packets: len(tr.Packets),
 		Points:  make([]FaultPoint, len(schedules)),
 	}

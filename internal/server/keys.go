@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"mnoc/internal/exp"
+	"mnoc/internal/core"
 	"mnoc/internal/power"
 )
 
@@ -21,7 +21,7 @@ import (
 func (r SolveRequest) FlightKey() string {
 	kind := r.Kind
 	if kind == "" {
-		kind = exp.DesignComm4
+		kind = core.KindComm4
 	}
 	return fmt.Sprintf("solve|%s|%s|%t", r.Bench, kind, r.QAP)
 }
@@ -32,7 +32,7 @@ func (r SolveRequest) FlightKey() string {
 func (r EvaluateRequest) FlightKey() (string, error) {
 	policy := r.Policy
 	if policy == "" {
-		policy = exp.DesignComm4
+		policy = core.KindComm4
 	}
 	scale := r.Scale
 	if scale == 0 {

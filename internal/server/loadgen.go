@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mnoc/internal/core"
 	"mnoc/internal/telemetry"
 )
 
@@ -22,8 +23,8 @@ type LoadOptions struct {
 	// BaseURL is the server root, e.g. "http://localhost:8080".
 	BaseURL string
 	// BaseURLs, when non-empty, wins over BaseURL and round-robins the
-	// load workers across several endpoints (worker w drives
-	// BaseURLs[w%len]): the direct-to-backends baseline to compare
+	// requests across several endpoints (request i goes to
+	// BaseURLs[i%len]): the direct-to-backends baseline to compare
 	// against a single through-proxy run (docs/FLEET.md).
 	BaseURLs []string
 	// Requests is the total request count.
@@ -49,9 +50,9 @@ type LoadOptions struct {
 // DefaultMix cycles three cache-friendly solves across design kinds.
 func DefaultMix() []SolveRequest {
 	return []SolveRequest{
-		{Bench: "fft", Kind: "comm4", QAP: true},
-		{Bench: "barnes", Kind: "dist4"},
-		{Bench: "water_s", Kind: "comm2", QAP: true},
+		{Bench: "fft", Kind: core.KindComm4, QAP: true},
+		{Bench: "barnes", Kind: core.KindDist4},
+		{Bench: "water_s", Kind: core.KindComm2, QAP: true},
 	}
 }
 
@@ -121,6 +122,10 @@ func RunLoad(ctx context.Context, opts LoadOptions) (*LoadResult, error) {
 	if len(bases) == 0 {
 		bases = []string{opts.BaseURL}
 	}
+	urls := make([]string, len(bases))
+	for i, b := range bases {
+		urls[i] = b + "/v1/solve"
+	}
 	client := &http.Client{Timeout: opts.Timeout}
 
 	reg := telemetry.NewRegistry()
@@ -144,16 +149,14 @@ func RunLoad(ctx context.Context, opts LoadOptions) (*LoadResult, error) {
 			// Per-worker jitter stream: workers never share a rand source,
 			// so the schedule is reproducible at a given concurrency.
 			rng := rand.New(rand.NewSource(opts.RetrySeed + int64(worker)))
-			// Workers round-robin across the endpoint list, so a
-			// multi-endpoint run spreads load evenly without any
-			// cross-worker coordination.
-			url := bases[worker%len(bases)] + "/v1/solve"
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= opts.Requests || ctx.Err() != nil {
 					return
 				}
-				status := fireWithRetry(ctx, client, url, bodies[i%len(bodies)], lat, opts.Retries, rng, &retries, record)
+				// Request i goes to endpoint i%len, so the split across
+				// endpoints is exact however the workers interleave.
+				status := fireWithRetry(ctx, client, urls[i%len(urls)], bodies[i%len(bodies)], lat, opts.Retries, rng, &retries, record)
 				if status != http.StatusOK {
 					failures.Add(1)
 				}

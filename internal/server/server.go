@@ -27,12 +27,12 @@ import (
 	"net"
 	"net/http"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"mnoc/internal/adapt"
+	"mnoc/internal/core"
 	"mnoc/internal/exp"
 	"mnoc/internal/power"
 	"mnoc/internal/runner"
@@ -219,7 +219,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 type SolveRequest struct {
 	// Bench names the workload (SPLASH stand-in or syn_*).
 	Bench string `json:"bench"`
-	// Kind picks the design family (exp.DesignKinds). Default comm4.
+	// Kind picks the design family (core.KindSpec). Default comm4.
 	Kind string `json:"kind,omitempty"`
 	// QAP applies the taboo thread mapping before evaluation.
 	QAP bool `json:"qap,omitempty"`
@@ -264,7 +264,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Kind == "" {
-		req.Kind = exp.DesignComm4
+		req.Kind = core.KindComm4
 	}
 	if err := validateSolve(req.Bench, req.Kind); err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
@@ -332,7 +332,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Policy == "" {
-		req.Policy = exp.DesignComm4
+		req.Policy = core.KindComm4
 	}
 	if req.Scale == 0 {
 		req.Scale = 1
@@ -621,16 +621,10 @@ func validateSolve(bench, kind string) error {
 	if _, err := workload.ByName(bench); err != nil {
 		return err
 	}
-	if !slicesContains(exp.DesignKinds(), kind) {
-		return fmt.Errorf("server: unknown design kind %q (want one of %v)", kind, exp.DesignKinds())
+	if _, err := core.KindSpec(kind); err != nil {
+		return fmt.Errorf("server: %w", err)
 	}
 	return nil
-}
-
-// slicesContains reports whether sorted list contains v.
-func slicesContains(list []string, v string) bool {
-	i := sort.SearchStrings(list, v)
-	return i < len(list) && list[i] == v
 }
 
 // writeJSON writes v as a JSON response. Responses with a hand-rolled

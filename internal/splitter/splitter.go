@@ -184,21 +184,31 @@ const minAlpha = 0.01
 // passes (0.01 then 0.001 steps) of per-coordinate descent, then clamps
 // to the decreasing order the topology nesting requires.
 func OptimalAlphas(modeCosts []phys.MicroWatts, weights []float64) []float64 {
+	if len(modeCosts) == 2 {
+		return OptimalAlphasTwoMode(modeCosts, weights)
+	}
+	return DescendAlphas(modeCosts, weights, defaultAlphaSteps)
+}
+
+// defaultAlphaSteps is OptimalAlphas' grid schedule: the paper's 0.1
+// grid, refined to 0.01 and then 0.001.
+var defaultAlphaSteps = []float64{0.1, 0.01, 0.001}
+
+// DescendAlphas runs per-coordinate grid descent over the given step
+// schedule, starting from all-ones α, and clamps the result to the
+// decreasing order the topology nesting requires. OptimalAlphas is
+// DescendAlphas over the default schedule; a coarser schedule shows
+// what each refinement level is worth.
+func DescendAlphas(modeCosts []phys.MicroWatts, weights, steps []float64) []float64 {
 	m := len(modeCosts)
 	alphas := make([]float64, m)
 	for i := range alphas {
 		alphas[i] = 1
 	}
-	if m == 1 {
-		return alphas
-	}
-	if m == 2 {
-		return OptimalAlphasTwoMode(modeCosts, weights)
-	}
-	// Coordinate descent over a shrinking grid. Each coordinate is
-	// optimised holding the others fixed; the objective is convex in
-	// each 1/α_k direction so this converges quickly.
-	for _, step := range []float64{0.1, 0.01, 0.001} {
+	// Each coordinate is optimised holding the others fixed; the
+	// objective is convex in each 1/α_k direction so this converges
+	// quickly.
+	for _, step := range steps {
 		for iter := 0; iter < 4; iter++ {
 			for k := 1; k < m; k++ {
 				best, bestV := alphas[k], WeightedPowerForAlphas(modeCosts, alphas, weights)
