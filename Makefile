@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check vet lint lint-json build test race fuzz golden golden-check \
+.PHONY: check vet fmt-check lint lint-json build test race fuzz golden golden-check \
 	compare-golden compare-check metrics-golden metrics-check \
 	sweep-check paper-golden paper-check bench bench-check bench-baseline
 
@@ -11,16 +11,24 @@ GO ?= go
 # golden diffs pin the byte-identity contract locally, not only in CI:
 # `mnoc bench` reproduces the committed tables and `mnoc sweep` (the
 # bench path on the worker pool) reproduces them too.
-check: vet lint build test race golden-check sweep-check
+check: vet fmt-check lint build test race golden-check sweep-check
 
 vet:
 	$(GO) vet ./...
 
+# Fail when gofmt would reformat a package file. Only the files `go
+# list` reports (GoFiles, TestGoFiles, XTestGoFiles) are checked, so
+# deliberate fixtures under testdata/ stay as they are.
+fmt-check:
+	@files=$$($(GO) list -f '{{$$d := .Dir}}{{range .GoFiles}}{{$$d}}/{{.}} {{end}}{{range .TestGoFiles}}{{$$d}}/{{.}} {{end}}{{range .XTestGoFiles}}{{$$d}}/{{.}} {{end}}' ./...) && \
+	bad=$$("$$($(GO) env GOROOT)/bin/gofmt" -l $$files) && \
+	if [ -n "$$bad" ]; then echo "gofmt -l reports:"; echo "$$bad"; exit 1; fi
+
 # The domain lint suite (cmd/mnoclint, docs/LINT.md): determinism,
 # unit-safety, metric-name cardinality, context threading, error
-# wrapping, sync.Pool discipline, goroutine cancellation, RCU
-# publication and hot-path allocation. Pure stdlib, so it runs offline
-# like everything else here.
+# wrapping, goroutine cancellation, RCU publication and hot-path
+# allocation. Pure stdlib, so it runs offline like everything else
+# here.
 lint:
 	$(GO) run ./cmd/mnoclint ./...
 
@@ -120,23 +128,23 @@ metrics-check:
 	diff -u testdata/golden/metrics_names_adapt.txt /tmp/mnoc_adapt_metrics_names.txt
 
 # Short seeded fuzz passes over the text-format parsers, the telemetry
-# exporters, and the artisanal serve-path JSON encoders (byte-identity
-# against encoding/json).
+# exporters, and the serve handlers (arbitrary bodies on every POST
+# endpoint: never a panic or a 5xx, always a JSON body).
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzDBLinearRoundTrip -fuzztime=10s ./internal/phys
 	$(GO) test -run=^$$ -fuzz=FuzzLossTransmissionRoundTrip -fuzztime=10s ./internal/phys
 	$(GO) test -run=^$$ -fuzz=FuzzParse -fuzztime=10s ./internal/fault
 	$(GO) test -run=^$$ -fuzz=FuzzRead -fuzztime=10s ./internal/drivetable
 	$(GO) test -run=^$$ -fuzz=FuzzExporters -fuzztime=10s ./internal/telemetry
-	$(GO) test -run=^$$ -fuzz=FuzzArtisanalEncode -fuzztime=10s ./internal/server
+	$(GO) test -run=^$$ -fuzz=FuzzHandlers -fuzztime=10s ./internal/server
 
 # ---- Performance baseline (docs/BENCH.md) ----------------------------
 
 # The curated hot-path benchmark set tracked in BENCH_baseline.json:
 # splitter solve/recurrence, QAP mapping, the dynamic controller's swap
 # search, multicore-sim inner loop, power evaluation, trace replay, and
-# the serve-path JSON encode/decode pairs.
-BENCH_PATTERN = ^(BenchmarkSplitterDesign|BenchmarkQAPTaboo|BenchmarkGreedySwaps|BenchmarkPowerEvaluate|BenchmarkNoCReplay|BenchmarkMulticoreSim|BenchmarkSplitterRecurrenceTyped|BenchmarkSplitterRecurrenceRaw|BenchmarkPowerEvalTyped|BenchmarkPowerEvalRaw|BenchmarkJSONPackageEncoding|BenchmarkJSONArtisinalEncoding|BenchmarkWriteJSON|BenchmarkRequestDecode)$$
+# the serve-path JSON encode and decode.
+BENCH_PATTERN = ^(BenchmarkSplitterDesign|BenchmarkQAPTaboo|BenchmarkGreedySwaps|BenchmarkPowerEvaluate|BenchmarkNoCReplay|BenchmarkMulticoreSim|BenchmarkSplitterRecurrenceTyped|BenchmarkSplitterRecurrenceRaw|BenchmarkPowerEvalTyped|BenchmarkPowerEvalRaw|BenchmarkJSONPackageEncoding|BenchmarkWriteJSON|BenchmarkRequestDecode)$$
 BENCH_PKGS = . ./internal/phys ./internal/server
 BENCH_DATE ?= $(shell date -u +%Y-%m-%d)
 BENCH_FILE ?= BENCH_$(BENCH_DATE).json

@@ -213,7 +213,6 @@ func (n *FuncNode) buildParamIndex() {
 // included) recording outgoing edges and local facts.
 func (n *FuncNode) collect(info *types.Info) {
 	n.Facts.MutatesParam = make([]bool, n.nparams)
-	n.Facts.EscapesParam = make([]bool, n.nparams)
 
 	// consumed tracks call-Fun expressions (and their Sel identifiers)
 	// so they are not re-counted as value references when the walk
@@ -259,10 +258,6 @@ func (n *FuncNode) collect(info *types.Info) {
 		case *ast.IncDecStmt:
 			if i := n.factIndexOfBase(info, node.X); i >= 0 && !isPlainIdent(node.X) {
 				n.Facts.MutatesParam[i] = true
-			}
-		case *ast.SendStmt:
-			if i := n.factIndex(info, node.Value); i >= 0 {
-				n.Facts.EscapesParam[i] = true
 			}
 		case *ast.SelectorExpr:
 			if !consumed[node] {
@@ -373,8 +368,8 @@ func (n *FuncNode) localCallFacts(info *types.Info, call *ast.CallExpr) {
 	}
 }
 
-// localAssignFacts records parameter mutations and escapes visible in
-// one assignment.
+// localAssignFacts records parameter mutations visible in one
+// assignment.
 func (n *FuncNode) localAssignFacts(info *types.Info, as *ast.AssignStmt) {
 	for _, lhs := range as.Lhs {
 		// A write through a parameter (p.f = x, *p = x, p[i] = x)
@@ -385,32 +380,6 @@ func (n *FuncNode) localAssignFacts(info *types.Info, as *ast.AssignStmt) {
 		}
 		if i := n.factIndexOfBase(info, lhs); i >= 0 {
 			n.Facts.MutatesParam[i] = true
-		}
-	}
-	for li, rhs := range as.Rhs {
-		i := n.factIndex(info, rhs)
-		if i < 0 {
-			// A parameter buried in a composite literal escapes into
-			// whatever the literal is stored in; be conservative.
-			ast.Inspect(rhs, func(nd ast.Node) bool {
-				if cl, ok := nd.(*ast.CompositeLit); ok {
-					for _, el := range cl.Elts {
-						if kv, ok := el.(*ast.KeyValueExpr); ok {
-							el = kv.Value
-						}
-						if j := n.factIndex(info, el); j >= 0 {
-							n.Facts.EscapesParam[j] = true
-						}
-					}
-				}
-				return true
-			})
-			continue
-		}
-		// Parameter assigned somewhere: escapes unless the target is a
-		// plain local variable.
-		if li < len(as.Lhs) && escapingLValue(info, as.Lhs[li]) {
-			n.Facts.EscapesParam[i] = true
 		}
 	}
 }
@@ -440,25 +409,6 @@ func (n *FuncNode) factIndex(info *types.Info, expr ast.Expr) int {
 // dereference chain to a fact-parameter index.
 func (n *FuncNode) factIndexOfBase(info *types.Info, expr ast.Expr) int {
 	return n.factIndex(info, BaseIdentExpr(expr))
-}
-
-// escapingLValue reports whether storing into lhs publishes the value
-// beyond the function's locals: a field, element or dereference write,
-// or a package-level variable.
-func escapingLValue(info *types.Info, lhs ast.Expr) bool {
-	switch lhs := ast.Unparen(lhs).(type) {
-	case *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
-		return true
-	case *ast.Ident:
-		obj := info.Uses[lhs]
-		if obj == nil {
-			obj = info.Defs[lhs]
-		}
-		if v, ok := obj.(*types.Var); ok {
-			return v.Parent() != nil && v.Parent().Parent() == types.Universe
-		}
-	}
-	return false
 }
 
 // isPlainIdent reports whether expr is a bare identifier.

@@ -56,18 +56,11 @@ func TestFactsPropagateAcrossDiamond(t *testing.T) {
 	if !facts.WallClock {
 		t.Error("top.Top should inherit WallClock from base.Tick via the right.Handle method value")
 	}
-	if len(facts.EscapesParam) != 2 || !facts.EscapesParam[1] {
-		t.Errorf("top.Top EscapesParam = %v, want p (index 1) escaping via forward -> base.Keep", facts.EscapesParam)
-	}
 	if !facts.MutatesParam[1] {
 		t.Errorf("top.Top MutatesParam = %v, want p (index 1) mutated via writer -> base.Write", facts.MutatesParam)
 	}
 
-	// The single-hop relays must also carry the parameter facts.
-	forward := lookupFunc(t, pkgs, "top", "forward")
-	if f := mod.FactsOf(forward); f == nil || len(f.EscapesParam) != 1 || !f.EscapesParam[0] {
-		t.Errorf("top.forward EscapesParam = %+v, want [true]", f)
-	}
+	// The single-hop relay must also carry the parameter fact.
 	writer := lookupFunc(t, pkgs, "top", "writer")
 	if f := mod.FactsOf(writer); f == nil || len(f.MutatesParam) != 1 || !f.MutatesParam[0] {
 		t.Errorf("top.writer MutatesParam = %+v, want [true]", f)
@@ -91,9 +84,9 @@ func TestHotReachability(t *testing.T) {
 		t.Fatalf("HotRoots = %v, want exactly top.Top", roots)
 	}
 	for _, want := range []struct{ pkg, name string }{
-		{"top", "Top"}, {"top", "forward"}, {"top", "writer"},
+		{"top", "Top"}, {"top", "writer"},
 		{"left", "Via"}, {"right", "Also"}, {"right", "Handle"},
-		{"base", "Spawn"}, {"base", "Tick"}, {"base", "Keep"}, {"base", "Write"},
+		{"base", "Spawn"}, {"base", "Tick"}, {"base", "Write"},
 	} {
 		fn := lookupFunc(t, pkgs, want.pkg, want.name)
 		if got := mod.HotRootOf(fn); got != "top.Top" {

@@ -12,11 +12,10 @@ package analysis
 //   - CancelAware: the function observes cancellation — a select with
 //     a receive case, a channel receive or range, ctx.Done()/ctx.Err(),
 //     or a dynamic call handed a context.Context.
-//   - MutatesParam / EscapesParam: per fact-parameter (receiver first
-//     for methods): the function writes through the parameter, or
-//     stores it beyond its own locals (field/element/global assignment,
-//     channel send, composite literal). Returning a parameter does not
-//     count as an escape — the caller keeps ownership.
+//   - MutatesParam: per fact-parameter (receiver first for methods):
+//     the function writes through the parameter (p.f = x, *p = x,
+//     p[i] = x, p.n++), directly or through a callee it passes the
+//     parameter to.
 //
 // Boolean facts flow caller-ward along every edge; parameter facts
 // flow only through call edges whose argument is itself a caller
@@ -28,7 +27,6 @@ type Facts struct {
 	CancelAware bool
 
 	MutatesParam []bool
-	EscapesParam []bool
 }
 
 // propagateFacts iterates the whole graph until no fact changes.
@@ -63,9 +61,6 @@ func (m *Module) propagateFacts() {
 					}
 					if cf.MutatesParam[calleeIdx] && !n.Facts.MutatesParam[callerIdx] {
 						n.Facts.MutatesParam[callerIdx], changed = true, true
-					}
-					if cf.EscapesParam[calleeIdx] && !n.Facts.EscapesParam[callerIdx] {
-						n.Facts.EscapesParam[callerIdx], changed = true, true
 					}
 				}
 			}

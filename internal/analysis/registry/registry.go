@@ -1,4 +1,4 @@
-// Package registry wires the nine domain analyzers into the single
+// Package registry wires the eight domain analyzers into the single
 // suite cmd/mnoclint and the self-check test run. Adding an analyzer
 // means adding it here, to docs/LINT.md, and a fixture directory under
 // its package.
@@ -11,7 +11,6 @@ import (
 	"mnoc/internal/analysis/goroleak"
 	"mnoc/internal/analysis/hotalloc"
 	"mnoc/internal/analysis/metricnames"
-	"mnoc/internal/analysis/pooluse"
 	"mnoc/internal/analysis/rcupublish"
 	"mnoc/internal/analysis/units"
 	"mnoc/internal/analysis/wrapcheck"
@@ -26,7 +25,6 @@ func All() []*analysis.Analyzer {
 		goroleak.Analyzer,
 		hotalloc.Analyzer,
 		metricnames.Analyzer,
-		pooluse.Analyzer,
 		rcupublish.Analyzer,
 		units.Analyzer,
 		wrapcheck.Analyzer,

@@ -7,11 +7,11 @@ import (
 )
 
 // TestSuiteComplete pins the analyzer roster (what `mnoclint -list`
-// prints): all nine analyzers, stable alphabetical order, documented.
+// prints): all eight analyzers, stable alphabetical order, documented.
 func TestSuiteComplete(t *testing.T) {
 	want := []string{
 		"ctxthread", "determinism", "goroleak", "hotalloc",
-		"metricnames", "pooluse", "rcupublish", "units", "wrapcheck",
+		"metricnames", "rcupublish", "units", "wrapcheck",
 	}
 	all := registry.All()
 	if len(all) != len(want) {

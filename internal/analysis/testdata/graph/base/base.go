@@ -6,8 +6,6 @@ import "time"
 
 var stamp time.Time
 
-var global *int
-
 // Tick reads the wall clock.
 func Tick() { stamp = time.Now() }
 
@@ -15,9 +13,6 @@ func Tick() { stamp = time.Now() }
 func Spawn(ch chan int) {
 	go func() { ch <- 1 }()
 }
-
-// Keep stores p beyond the call.
-func Keep(p *int) { global = p }
 
 // Write mutates through p.
 func Write(p *int) { *p = 1 }

@@ -16,12 +16,8 @@ func Top(ch chan int, p *int) {
 	left.Via(ch)
 	right.Also(ch)
 	_ = right.Handle()
-	forward(p)
 	writer(p)
 }
-
-// forward only escapes p one hop further down.
-func forward(p *int) { base.Keep(p) }
 
 // writer only mutates p one hop further down.
 func writer(p *int) { base.Write(p) }

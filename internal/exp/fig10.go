@@ -66,11 +66,7 @@ func (c *Context) Performance(ctx context.Context, bench string) (mnocCycles, rn
 				if err != nil {
 					return 0, err
 				}
-				cycles := res.RuntimeCycles
-				// Only the runtime is kept; hand the packet buffer back
-				// for the next simulation.
-				res.Recycle()
-				return cycles, nil
+				return res.RuntimeCycles, nil
 			}
 			mn, err := noc.NewMNoC(c.Opt.N)
 			if err != nil {

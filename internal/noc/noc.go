@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 
 	"mnoc/internal/phys"
 	"mnoc/internal/telemetry"
@@ -335,14 +334,6 @@ type ReplayStats struct {
 // noc.replay.latency_cycles histogram recorded by ReplayObserved.
 var ReplayLatencyBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096}
 
-// replayLatsPool recycles the per-replay latency scratch (one uint64
-// per packet, only needed to extract the percentiles) so a sweep of
-// replays over large traces does not regrow a multi-megabyte slice on
-// every call.
-var replayLatsPool = sync.Pool{
-	New: func() any { s := make([]uint64, 0, 4096); return &s },
-}
-
 // Replay runs every packet of the trace through the network (packets
 // must be cycle-sorted, as produced by the generators) and reports
 // latency statistics. The network's contention state is reset first.
@@ -366,13 +357,10 @@ func ReplayObserved(net Network, tr *trace.Trace, reg *telemetry.Registry) (Repl
 	flitsC := reg.Counter("noc.replay.flits")
 	st := ReplayStats{TraceCycles: tr.Cycles, NetworkName: net.Name()}
 	var latSum float64
-	latsp := replayLatsPool.Get().(*[]uint64)
-	lats := (*latsp)[:0]
+	lats := make([]uint64, 0, len(tr.Packets)) // for the percentiles
 	for i, p := range tr.Packets {
 		arr, err := net.Send(p.Cycle, int(p.Src), int(p.Dst), int(p.Flits))
 		if err != nil {
-			*latsp = lats[:0]
-			replayLatsPool.Put(latsp)
 			return ReplayStats{}, fmt.Errorf("noc: packet %d: %w", i, err)
 		}
 		lat := arr - p.Cycle
@@ -396,7 +384,5 @@ func ReplayObserved(net Network, tr *trace.Trace, reg *telemetry.Registry) (Repl
 		st.P50Latency = lats[len(lats)/2]
 		st.P99Latency = lats[len(lats)*99/100]
 	}
-	*latsp = lats[:0]
-	replayLatsPool.Put(latsp)
 	return st, nil
 }

@@ -208,6 +208,38 @@ func TestReplayResetsState(t *testing.T) {
 	}
 }
 
+// TestReplayErrorReturnsScratch forces a Send failure mid-replay and
+// then replays a clean trace: a failed replay leaves contention state
+// and a half-filled latency slice behind, and the next replay must see
+// neither.
+func TestReplayErrorReturnsScratch(t *testing.T) {
+	m, err := NewMNoC(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := &trace.Trace{N: 16, Cycles: 1000, Packets: []trace.Packet{
+		{Cycle: 0, Src: 0, Dst: 1, Flits: 8},
+	}}
+	want, err := Replay(m, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := &trace.Trace{N: 16, Cycles: 10, Packets: []trace.Packet{
+		{Cycle: 0, Src: 0, Dst: 1, Flits: 8},
+		{Cycle: 1, Src: 2, Dst: 2, Flits: 1}, // self-send: Send rejects it
+	}}
+	if _, err := Replay(m, bad); err == nil {
+		t.Fatal("replay of a self-send trace succeeded")
+	}
+	got, err := Replay(m, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("stats drifted after a failed replay:\n got: %+v\nwant: %+v", got, want)
+	}
+}
+
 func TestSendRejections(t *testing.T) {
 	m, err := NewMNoC(16)
 	if err != nil {

@@ -20,7 +20,6 @@ package power
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"mnoc/internal/device"
@@ -181,15 +180,12 @@ type MNoC struct {
 	telh atomic.Pointer[telHandles]
 }
 
-// telHandles are the pre-resolved metric handles and the per-Evaluate
-// mode scratch of one instrumented network. Evaluate may run
-// concurrently (the serve path), so the scratch lives in a pool rather
-// than on the struct.
+// telHandles are the pre-resolved metric handles of one instrumented
+// network.
 type telHandles struct {
-	evals   *telemetry.Counter
-	watts   *telemetry.Histogram
-	mode    []*telemetry.Histogram
-	scratch sync.Pool // *[]float64, len == Topology.Modes
+	evals *telemetry.Counter
+	watts *telemetry.Histogram
+	mode  []*telemetry.Histogram
 }
 
 // Instrument attaches a metric registry: every Evaluate observes the
@@ -209,13 +205,11 @@ func (m *MNoC) telHandles() *telHandles {
 	if h := m.telh.Load(); h != nil {
 		return h
 	}
-	modes := m.Topology.Modes
 	h := &telHandles{
 		evals: m.tel.Counter("power.evaluations"),
 		watts: m.tel.Histogram("power.watts", PowerWattsBuckets...),
-		mode:  make([]*telemetry.Histogram, modes),
+		mode:  make([]*telemetry.Histogram, m.Topology.Modes),
 	}
-	h.scratch.New = func() any { s := make([]float64, modes); return &s }
 	for mode := range h.mode {
 		//mnoclint:allow hotalloc handle construction runs once per MNoC (CAS-published below); every later Evaluate reuses the handles
 		h.mode[mode] = m.tel.Histogram(fmt.Sprintf("power.mode%d.source_uw", mode)) //mnoclint:allow metricnames mode count is bounded by the topology (at most a handful per design) and the resulting names are pinned by testdata/golden/metrics_names.txt
@@ -428,14 +422,11 @@ func (m *MNoC) Evaluate(mtx *trace.Matrix, cycles float64) (Breakdown, error) {
 	var srcSum, oeSum, flits float64
 	var th *telHandles
 	var modeSrc []float64
-	var scratchp *[]float64
 	if m.tel != nil {
+		// Evaluate may run concurrently (the serve path), so the
+		// per-mode totals are per call.
 		th = m.telHandles()
-		scratchp = th.scratch.Get().(*[]float64)
-		modeSrc = *scratchp
-		for i := range modeSrc {
-			modeSrc[i] = 0
-		}
+		modeSrc = make([]float64, len(th.mode))
 	}
 	for s, row := range mtx.Counts {
 		des := m.Designs[s]
@@ -467,7 +458,6 @@ func (m *MNoC) Evaluate(mtx *trace.Matrix, cycles float64) (Breakdown, error) {
 		for mode, uw := range modeSrc {
 			th.mode[mode].Observe(uw / cycles)
 		}
-		th.scratch.Put(scratchp)
 	}
 	return b, nil
 }

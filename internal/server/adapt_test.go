@@ -45,7 +45,7 @@ func TestHealthzDraining(t *testing.T) {
 
 // adaptTestController builds a small lockstep controller and replays
 // the canonical phase-shift workload through it.
-func adaptTestController(t *testing.T) *adapt.Controller {
+func adaptTestController(t testing.TB) *adapt.Controller {
 	t.Helper()
 	c, err := adapt.NewController(adapt.Config{
 		N:            16,

@@ -1,7 +1,7 @@
 // Serve-path encode/decode benchmarks (srtjson-style tables with
-// b.ReportAllocs). The package-vs-artisanal pairs are the curated
-// entries `make bench` tracks in BENCH_baseline.json; the decode table
-// sizes the request-parsing cost across batch widths.
+// b.ReportAllocs). BenchmarkWriteJSON is the curated entry `make bench`
+// tracks in BENCH_baseline.json; the decode table sizes the
+// request-parsing cost across batch widths.
 package server
 
 import (
@@ -16,7 +16,7 @@ import (
 
 type encodeBenchCase struct {
 	name string
-	v    appendJSONer
+	v    any
 }
 
 func encodeBenchCases() []encodeBenchCase {
@@ -34,8 +34,8 @@ func encodeBenchCases() []encodeBenchCase {
 	}
 }
 
-// BenchmarkJSONPackageEncoding measures writeJSON's generic path: the
-// reflective json.Encoder with SetIndent, per response type.
+// BenchmarkJSONPackageEncoding measures the encoder writeJSON uses —
+// the reflective json.Encoder with SetIndent — per response type.
 func BenchmarkJSONPackageEncoding(b *testing.B) {
 	for _, tc := range encodeBenchCases() {
 		b.Run(tc.name, func(b *testing.B) {
@@ -53,35 +53,15 @@ func BenchmarkJSONPackageEncoding(b *testing.B) {
 	}
 }
 
-// BenchmarkJSONArtisinalEncoding measures the hand-rolled appendJSON
-// path into a reused buffer — the fast path writeJSON actually takes.
-func BenchmarkJSONArtisinalEncoding(b *testing.B) {
-	for _, tc := range encodeBenchCases() {
-		b.Run(tc.name, func(b *testing.B) {
-			buf := make([]byte, 0, 512)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				var err error
-				buf, err = tc.v.appendJSON(buf[:0])
-				if err != nil {
-					b.Fatal(err)
-				}
-				buf = append(buf, '\n')
-			}
-		})
-	}
-}
-
 // BenchmarkWriteJSON measures the whole writeJSON call — header set,
-// pooled buffer, encode, write — against a discarding ResponseWriter,
-// for the fast-path responses and a generic map that takes the
-// reflective fallback.
+// encode, write — against a discarding ResponseWriter, for a response
+// type and a generic map.
 func BenchmarkWriteJSON(b *testing.B) {
 	cases := []struct {
 		name string
 		v    any
 	}{
-		{"evaluate-artisanal", encodeBenchCases()[1].v},
+		{"evaluate", encodeBenchCases()[1].v},
 		{"generic-map", map[string]any{"status": "ok", "detail": "fallback path"}},
 	}
 	for _, tc := range cases {

@@ -84,10 +84,10 @@ func (r *LoadResult) String() string {
 		r.Requests, r.Failures, r.Wall.Seconds(), r.Throughput, r.P50MS, r.P90MS, r.P99MS)
 }
 
-// loadMSBuckets is the client-side latency layout: finer than the
-// server's at the sub-millisecond end, since warm-cache solves are
-// fast.
-var loadMSBuckets = []float64{0.1, 0.2, 0.5, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10_000}
+// loadMSBuckets is the client-side latency layout. Like the server's,
+// it starts at 10 µs so the percentiles of warm-cache requests
+// (0.04–0.08 ms) come from distinct buckets.
+var loadMSBuckets = []float64{0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10_000}
 
 // RunLoad fires opts.Requests POST /v1/solve requests at the server
 // and reports throughput plus latency percentiles. The request mix is

@@ -72,8 +72,10 @@ type Config struct {
 }
 
 // RequestMSBuckets are the bucket bounds (milliseconds) of the
-// server.request_ms latency histogram.
-var RequestMSBuckets = []float64{0.2, 0.5, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10_000, 60_000}
+// server.request_ms latency histogram (and fleet.proxy.request_ms).
+// They start at 10 µs so a warm request (0.04–0.08 ms) spans several
+// buckets.
+var RequestMSBuckets = []float64{0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10_000, 60_000}
 
 // Server is one running service instance.
 type Server struct {
@@ -292,6 +294,11 @@ func solveResponse(req SolveRequest, b power.Breakdown, baseW float64) *SolveRes
 	}
 }
 
+// maxTrafficScale bounds EvaluateRequest.Scale: far beyond any
+// physical operating point, and small enough that the scaled wattage
+// stays finite and so encodable as JSON.
+const maxTrafficScale = 1e6
+
 // EvaluateRequest prices a workload under a policy at a traffic scale
 // and adds the simulated mNoC-vs-rNoC performance.
 type EvaluateRequest struct {
@@ -341,8 +348,8 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if req.Scale < 0 {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("server: negative traffic scale %g", req.Scale))
+	if req.Scale < 0 || req.Scale > maxTrafficScale {
+		s.writeError(w, http.StatusBadRequest, fmt.Errorf("server: traffic scale %g outside [0, %g]", req.Scale, float64(maxTrafficScale)))
 		return
 	}
 	model, err := power.ParseLossModel(req.LossModel)
@@ -627,31 +634,11 @@ func validateSolve(bench, kind string) error {
 	return nil
 }
 
-// writeJSON writes v as a JSON response. Responses with a hand-rolled
-// encoder (encode.go) take an allocation-free fast path through a
-// pooled buffer; everything else goes through the reflective package
-// encoder. Both paths emit identical bytes — the two-space-indented
-// form this server has always served — pinned by the equivalence tests
-// in encode_test.go.
+// writeJSON writes v as a JSON response in the two-space-indented form
+// this server has always served (pinned by TestWriteJSON).
 //
 //mnoclint:hot
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	if aj, ok := v.(appendJSONer); ok {
-		bufp := responseBufPool.Get().(*[]byte)
-		buf, err := aj.appendJSON((*bufp)[:0])
-		if err == nil {
-			buf = append(buf, '\n') // Encoder.Encode's trailing newline
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(status)
-			_, _ = w.Write(buf)
-			*bufp = buf[:0]
-			responseBufPool.Put(bufp)
-			return
-		}
-		responseBufPool.Put(bufp)
-		// Fall through: the package encoder fails identically (it
-		// writes nothing), keeping behaviour bit-for-bit compatible.
-	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)

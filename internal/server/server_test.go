@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -133,23 +134,40 @@ func TestBenchEndpoint(t *testing.T) {
 	}
 }
 
-func TestBadRequests(t *testing.T) {
-	_, ts := newTestServer(t, testConfig())
+// badRequest is one malformed or invalid POST and the rejection it
+// must get.
+type badRequest struct {
+	path string
+	body any    // JSON-encoded unless raw is set
+	raw  string // sent verbatim
+	want int    // status; 0 means 400
+	msg  string // expected in the error envelope, if set
+}
+
+// payload returns the body as sent.
+func (tc badRequest) payload(tb testing.TB) string {
+	if tc.raw != "" {
+		return tc.raw
+	}
+	blob, err := json.Marshal(tc.body)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return string(blob)
+}
+
+// badRequests is TestBadRequests' table, shared as FuzzHandlers' seeds.
+func badRequests() []badRequest {
 	tooMany := make([]string, len(exp.Registry())+len(exp.Extensions())+1)
 	for i := range tooMany {
 		tooMany[i] = fmt.Sprintf("id%d", i)
 	}
-	for _, tc := range []struct {
-		path string
-		body any    // JSON-encoded unless raw is set
-		raw  string // sent verbatim
-		want int    // status; 0 means 400
-		msg  string // expected in the error envelope, if set
-	}{
+	return []badRequest{
 		{path: "/v1/solve", body: SolveRequest{Bench: "nope", Kind: "dist4"}},
 		{path: "/v1/solve", body: SolveRequest{Bench: "fft", Kind: "nope"}},
 		{path: "/v1/solve", body: map[string]any{"bench": "fft", "typo_field": 1}},
 		{path: "/v1/evaluate", body: EvaluateRequest{Bench: "fft", Policy: "base", Scale: -1}},
+		{path: "/v1/evaluate", body: EvaluateRequest{Bench: "fft", Policy: "base", Scale: 1e308}, msg: "traffic scale"},
 		{path: "/v1/bench", body: BenchRequest{ID: "nope"}},
 		{path: "/v1/bench", body: BenchRequest{}},
 		{path: "/v1/bench", body: BenchRequest{IDs: tooMany}, msg: "at most"},
@@ -158,18 +176,17 @@ func TestBadRequests(t *testing.T) {
 		{path: "/v1/solve", raw: `{"bench":"fft","kind":"dist4"}garbage`},
 		{path: "/v1/solve", raw: `{"bench":"fft","kind":"dist4"` + strings.Repeat(" ", maxRequestBytes) + `}`,
 			want: http.StatusRequestEntityTooLarge},
-	} {
+	}
+}
+
+func TestBadRequests(t *testing.T) {
+	_, ts := newTestServer(t, testConfig())
+	for _, tc := range badRequests() {
 		want := tc.want
 		if want == 0 {
 			want = http.StatusBadRequest
 		}
-		var resp *http.Response
-		var body []byte
-		if tc.raw != "" {
-			resp, body = postRaw(t, ts.URL+tc.path, tc.raw)
-		} else {
-			resp, body = post(t, ts.URL+tc.path, tc.body)
-		}
+		resp, body := postRaw(t, ts.URL+tc.path, tc.payload(t))
 		if resp.StatusCode != want {
 			t.Errorf("%s %+v %.60q: status %d (%s), want %d", tc.path, tc.body, tc.raw, resp.StatusCode, body, want)
 		}
@@ -192,6 +209,69 @@ func TestBadRequests(t *testing.T) {
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /v1/solve: %d, want 405", resp.StatusCode)
 	}
+}
+
+// FuzzHandlers sends arbitrary bodies to every POST endpoint of a
+// warmed radix-16 handler (wired into `make fuzz`). Whatever the body,
+// the server must not panic or answer 5xx, and every response is one
+// JSON value. Two statuses are held to their cause: a 504 (the one
+// 5xx allowed) only when the body set timeout_ms, a 429 only when the
+// admission queue was full.
+func FuzzHandlers(f *testing.F) {
+	endpoints := []string{"/v1/solve", "/v1/evaluate", "/v1/bench", "/v1/adapt/evaluate"}
+	valid := []struct {
+		path, body string
+	}{
+		{"/v1/solve", `{"bench":"fft","kind":"dist4","qap":true}`},
+		{"/v1/evaluate", `{"bench":"fft","policy":"base","scale":2}`},
+		{"/v1/bench", `{"id":"fig3"}`},
+		{"/v1/adapt/evaluate", `{"bench":"radix"}`},
+	}
+	cfg := testConfig()
+	cfg.Adapt = adaptTestController(f)
+	s, err := New(cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	h := s.Handler()
+	do := func(path, body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		return rec
+	}
+	for _, v := range valid {
+		if rec := do(v.path, v.body); rec.Code != http.StatusOK {
+			f.Fatalf("warming %s %s: status %d: %s", v.path, v.body, rec.Code, rec.Body)
+		}
+		f.Add(uint8(slices.Index(endpoints, v.path)), v.body)
+	}
+	for _, tc := range badRequests() {
+		f.Add(uint8(slices.Index(endpoints, tc.path)), tc.payload(f))
+	}
+	rejected := s.Runner().Telemetry().Counter("server.rejected")
+	f.Fuzz(func(t *testing.T, endpoint uint8, body string) {
+		path := endpoints[int(endpoint)%len(endpoints)]
+		before := rejected.Value()
+		rec := do(path, body)
+		if !json.Valid(rec.Body.Bytes()) {
+			t.Fatalf("%s %.80q: status %d with a body that is not JSON: %q", path, body, rec.Code, rec.Body)
+		}
+		switch code := rec.Code; {
+		case code == http.StatusGatewayTimeout:
+			var req struct {
+				TimeoutMS int64 `json:"timeout_ms"`
+			}
+			if json.Unmarshal([]byte(body), &req) != nil || req.TimeoutMS <= 0 {
+				t.Fatalf("%s %.80q: 504 without a client timeout_ms", path, body)
+			}
+		case code == http.StatusTooManyRequests:
+			if rejected.Value() == before {
+				t.Fatalf("%s %.80q: 429 with room in the admission queue", path, body)
+			}
+		case code >= 500:
+			t.Fatalf("%s %.80q: status %d: %s", path, body, code, rec.Body)
+		}
+	})
 }
 
 func TestHealthzAndVersion(t *testing.T) {
@@ -395,6 +475,27 @@ func TestMetricsEndpoints(t *testing.T) {
 	}
 }
 
+// TestLatencyBucketsResolveWarmPath pins the sub-millisecond end of
+// both request-latency layouts: a 0.03 ms observation, typical of a
+// warm request, lands in the le="0.05" bucket.
+func TestLatencyBucketsResolveWarmPath(t *testing.T) {
+	for name, buckets := range map[string][]float64{
+		"server.request_ms": RequestMSBuckets,
+		"load.request_ms":   loadMSBuckets,
+	} {
+		reg := telemetry.NewRegistry()
+		reg.Histogram(name, buckets...).Observe(0.03)
+		for _, b := range reg.Snapshot().Histograms[name].Buckets {
+			if b.Count != 0 && b.LE != "0.05" {
+				t.Errorf("%s: 0.03 ms landed in le=%q, want le=\"0.05\"", name, b.LE)
+			}
+			if b.LE == "0.05" && b.Count != 1 {
+				t.Errorf("%s: le=\"0.05\" holds %d observations, want 1", name, b.Count)
+			}
+		}
+	}
+}
+
 // TestLoadGenerator drives RunLoad against an in-process server: zero
 // failures and sane percentiles.
 func TestLoadGenerator(t *testing.T) {
@@ -570,6 +671,33 @@ func TestResponseWireFormat(t *testing.T) {
 		}
 		if string(blob) != tc.want {
 			t.Errorf("%s wire format drifted:\n got %s\nwant %s", tc.name, blob, tc.want)
+		}
+	}
+}
+
+// TestWriteJSON drives writeJSON for a response type and a generic
+// value and checks status, content type and body bytes against
+// MarshalIndent plus the Encoder's trailing newline.
+func TestWriteJSON(t *testing.T) {
+	for name, v := range map[string]any{
+		"evaluate": &EvaluateResponse{Bench: "fft", Policy: "comm4", Scale: 1,
+			TotalWatts: 1.5, BaseWatts: 3, MNoCCycles: 10, RNoCCycles: 25, Speedup: 2.5},
+		"generic": map[string]string{"status": "ok"},
+	} {
+		rec := httptest.NewRecorder()
+		writeJSON(rec, 200, v)
+		if rec.Code != 200 {
+			t.Errorf("%s: status %d", name, rec.Code)
+		}
+		if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+			t.Errorf("%s: content type %q", name, ct)
+		}
+		want, err := json.MarshalIndent(v, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rec.Body.String(); got != string(want)+"\n" {
+			t.Errorf("%s: body drifted:\n got: %q\nwant: %q", name, got, want)
 		}
 	}
 }

@@ -111,3 +111,65 @@ func TestSimFaultDeterminism(t *testing.T) {
 		t.Fatalf("trace lengths differ: %d vs %d", len(a.Trace.Packets), len(b.Trace.Packets))
 	}
 }
+
+// TestSimConservation checks the send accounting over every workload:
+// each transmission attempt, delivered or not, is logged in the trace
+// exactly once. Fault-free networks (mNoC and rNoC) deliver every
+// message first time; on a lossy network every retry answers a NACK and
+// a message is lost at most once.
+func TestSimConservation(t *testing.T) {
+	const cores = 8
+	cfg := DefaultConfig(cores)
+	// A one-retry budget against 10% drops exercises both recovery and
+	// loss within a few hundred accesses.
+	lossy := cfg
+	lossy.MaxSendRetries = 1
+	var retries, lost uint64
+	for _, b := range workload.All() {
+		streams, err := StreamsFromBenchmark(b, cfg, 200, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func(cfg Config, net noc.Network) *Result {
+			t.Helper()
+			m, err := NewMachine(cfg, net)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := m.Run(streams)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Sends != uint64(len(res.Trace.Packets)) {
+				t.Errorf("%s on %s: Sends=%d but the trace has %d packets",
+					b.Name, res.NetworkName, res.Sends, len(res.Trace.Packets))
+			}
+			return res
+		}
+		mn, err := noc.NewMNoC(cores)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rn, err := noc.NewRNoC(cores, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, net := range []noc.Network{mn, rn} {
+			res := run(cfg, net)
+			if res.Retries != 0 || res.NACKs != 0 || res.LostPackets != 0 {
+				t.Errorf("%s on fault-free %s: retries=%d nacks=%d lost=%d",
+					b.Name, res.NetworkName, res.Retries, res.NACKs, res.LostPackets)
+			}
+		}
+		res := run(lossy, faultyNetwork(t, 0.1))
+		if res.Retries > res.NACKs || res.Retries+res.LostPackets > res.Sends {
+			t.Errorf("%s on a lossy network: sends=%d retries=%d nacks=%d lost=%d",
+				b.Name, res.Sends, res.Retries, res.NACKs, res.LostPackets)
+		}
+		retries += res.Retries
+		lost += res.LostPackets
+	}
+	if retries == 0 || lost == 0 {
+		t.Errorf("lossy runs saw %d retries and %d losses; the bounds went untested", retries, lost)
+	}
+}

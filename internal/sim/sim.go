@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"sync"
 
 	"mnoc/internal/cache"
 	"mnoc/internal/coherence"
@@ -95,14 +94,6 @@ type Access struct {
 	Addr  uint64
 }
 
-// packetBufPool recycles packet-trace buffers between simulations. A
-// benchmark sweep runs thousands of simulations whose traces are read
-// once and dropped; Result.Recycle hands the backing array back so the
-// next Run starts with a warmed buffer instead of regrowing one.
-var packetBufPool = sync.Pool{
-	New: func() any { b := make([]trace.Packet, 0, 4096); return &b },
-}
-
 // Result summarises a simulation.
 type Result struct {
 	RuntimeCycles uint64
@@ -126,19 +117,12 @@ type Result struct {
 	Trace *trace.Trace
 }
 
-// Recycle returns the result's packet buffer to the shared pool and
-// detaches the trace. Call it only when the trace is no longer needed
-// — the caller must not touch r.Trace (or any slice derived from its
-// Packets) afterwards. Recycling is optional; an un-recycled trace is
-// simply garbage-collected.
+// Recycle detaches the trace so the garbage collector can reclaim it
+// while the rest of the result is still in use. It is optional, and a
+// second call is a no-op.
 func (r *Result) Recycle() {
-	if r == nil || r.Trace == nil {
-		return
-	}
-	pkts := r.Trace.Packets[:0]
-	r.Trace = nil
-	if cap(pkts) > 0 {
-		packetBufPool.Put(&pkts)
+	if r != nil {
+		r.Trace = nil
 	}
 }
 
@@ -239,9 +223,6 @@ func (m *Machine) Run(streams [][]Access) (*Result, error) {
 	defer m.tracer.StartSpan("sim", "run."+m.net.Name()).
 		Attr("cores", strconv.Itoa(m.cfg.Cores)).End()
 	m.net.Reset()
-	if m.packets == nil {
-		m.packets = *packetBufPool.Get().(*[]trace.Packet)
-	}
 	m.packets = m.packets[:0]
 	m.sends, m.retries, m.nacks, m.lost = 0, 0, 0, 0
 
@@ -317,7 +298,7 @@ func (m *Machine) Run(streams [][]Access) (*Result, error) {
 	if err := res.Trace.Validate(); err != nil {
 		return nil, fmt.Errorf("sim: generated an invalid trace: %w", err)
 	}
-	m.packets = nil // ownership moves to the result (see Result.Recycle)
+	m.packets = nil // ownership moves to the result
 	m.heapScratch = h[:0]
 	return res, nil
 }
@@ -447,10 +428,7 @@ func (m *Machine) netSend(at uint64, src, dst, flits int) (uint64, error) {
 			if !errors.As(err, &de) {
 				return 0, err
 			}
-			m.sends++
-			m.packets = append(m.packets, trace.Packet{
-				Cycle: at, Src: int32(src), Dst: int32(dst), Flits: int32(flits),
-			})
+			m.logPacket(at, src, dst, flits)
 			if !de.Fatal {
 				m.nacks++
 			}
@@ -462,12 +440,25 @@ func (m *Machine) netSend(at uint64, src, dst, flits int) (uint64, error) {
 			at = arr + m.cfg.RetryBackoffCycles
 			continue
 		}
-		m.sends++
-		m.packets = append(m.packets, trace.Packet{
-			Cycle: at, Src: int32(src), Dst: int32(dst), Flits: int32(flits),
-		})
+		m.logPacket(at, src, dst, flits)
 		return arr, nil
 	}
+}
+
+// logPacket counts one transmission attempt and appends it to the
+// packet trace. A full buffer doubles (from 4096 packets): append's
+// ~1.25x growth for large slices would copy a paper-scale trace many
+// more times.
+func (m *Machine) logPacket(at uint64, src, dst, flits int) {
+	m.sends++
+	if len(m.packets) == cap(m.packets) {
+		grown := make([]trace.Packet, len(m.packets), max(4096, 2*cap(m.packets)))
+		copy(grown, m.packets)
+		m.packets = grown
+	}
+	m.packets = append(m.packets, trace.Packet{
+		Cycle: at, Src: int32(src), Dst: int32(dst), Flits: int32(flits),
+	})
 }
 
 func containsInt(s []int, v int) bool {

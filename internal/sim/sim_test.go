@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"slices"
+	"sync"
 	"testing"
 
 	"mnoc/internal/noc"
@@ -256,6 +258,102 @@ func TestRunDeterministic(t *testing.T) {
 		t.Errorf("nondeterministic: %d/%d vs %d/%d",
 			r1.RuntimeCycles, len(r1.Trace.Packets), r2.RuntimeCycles, len(r2.Trace.Packets))
 	}
+}
+
+// TestRecycleDetachesTrace pins Result.Recycle: it drops the trace,
+// keeps the statistics, and a second call is a no-op.
+func TestRecycleDetachesTrace(t *testing.T) {
+	cores := 8
+	b, err := workload.ByName("fft")
+	if err != nil {
+		t.Fatal(err)
+	}
+	streams, err := StreamsFromBenchmark(b, smallConfig(cores), 200, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := newMachine(t, cores).Run(streams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cycles := res.RuntimeCycles
+	res.Recycle()
+	if res.Trace != nil {
+		t.Fatal("Recycle left the trace attached")
+	}
+	if res.RuntimeCycles != cycles {
+		t.Errorf("Recycle changed the runtime: %d, want %d", res.RuntimeCycles, cycles)
+	}
+	res.Recycle()
+	var nilRes *Result
+	nilRes.Recycle()
+}
+
+// TestConcurrentMachinesAgree runs fresh machines in parallel (under
+// -race in `make check`) and checks every run's runtime and packet
+// trace against a serial reference: machines share no state.
+func TestConcurrentMachinesAgree(t *testing.T) {
+	cores := 8
+	benches := []string{"fft", "barnes", "radix"}
+	type job struct {
+		streams [][]Access
+		want    *Result
+	}
+	jobs := make([]job, len(benches))
+	for i, name := range benches {
+		b, err := workload.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		streams, err := StreamsFromBenchmark(b, smallConfig(cores), 150, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := newMachine(t, cores).Run(streams)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs[i] = job{streams: streams, want: want}
+	}
+
+	const workers = 8
+	const iters = 3
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		w := w
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			j := jobs[w%len(jobs)]
+			for i := 0; i < iters; i++ {
+				// A fresh machine per run: caches and directory state
+				// warm across Run calls on one machine. t.Fatal is not
+				// safe off the test goroutine, so errors use t.Error.
+				net, err := noc.NewMNoC(cores)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				m, err := NewMachine(smallConfig(cores), net)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				res, err := m.Run(j.streams)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if res.RuntimeCycles != j.want.RuntimeCycles ||
+					!slices.Equal(res.Trace.Packets, j.want.Trace.Packets) {
+					t.Errorf("worker %d run %d: %d cycles/%d packets, want %d/%d",
+						w, i, res.RuntimeCycles, len(res.Trace.Packets),
+						j.want.RuntimeCycles, len(j.want.Trace.Packets))
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestBroadcastInvReducesPackets exercises the Section 7 extension: on a
